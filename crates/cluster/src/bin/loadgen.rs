@@ -668,7 +668,7 @@ fn run_wal(args: &Args, data: &[f64], expected: &ServiceHp) -> WalReport {
     // And specificity: WAL-on vs WAL-off is already gated above over
     // the threaded transport; what the group gate must police is the
     // *fsync discipline* — accumulation windows, group coalescing,
-    // commit-mark pumping — which is exactly the delta between `group`
+    // commit-mark wakeups — which is exactly the delta between `group`
     // and `never` on identical machinery. (The 89% regression this
     // gate exists to catch was group-vs-never slop: a timer-held
     // accumulation window stalling parked replies.)
@@ -1514,7 +1514,7 @@ fn main() {
             // fan wide enough for one fsync to amortize over — against
             // the same fan running `fsync=never`. That isolates the
             // fsync *discipline* (accumulation windows, coalescing,
-            // commit-mark pumping), which is the code's to answer for,
+            // commit-mark wakeups), which is the code's to answer for,
             // and gated.
             let group_ceiling = env_floor("OISUM_GATE_WAL_GROUP_OVERHEAD_PCT", 10.0);
             assert!(

@@ -79,7 +79,10 @@ pub enum RuleId {
     /// lock-free; durability blocking is the WAL's carve-out and lives
     /// behind `wal.append`, never inline in frame handling. On the
     /// reactor the stakes are higher still — one blocked acquisition
-    /// stalls every connection the event loop owns, not one worker.
+    /// stalls every connection the event loop owns, not one worker —
+    /// so the reactor may not call the blocking WAL waits either
+    /// (`append`, `flush`, `wait_committed`, `wait_mark_beyond` on a
+    /// WAL handle): it submits, and the committer wakes it.
     BlockingInHotPath,
 }
 
@@ -153,7 +156,8 @@ impl RuleId {
                 "every condvar wait sits inside a while/loop predicate re-check"
             }
             RuleId::BlockingInHotPath => {
-                "no blocking lock acquisitions on the zero-copy frame path"
+                "no blocking lock acquisitions on the zero-copy frame path, and no \
+                 blocking WAL waits on the reactor"
             }
         }
     }
@@ -356,6 +360,28 @@ pub(crate) fn suppressed(lines: &[Line], idx: usize, rule: RuleId) -> bool {
         || (idx > 0 && lines[idx - 1].comment.contains(&needle))
 }
 
+/// The first blocking WAL wait on a whitespace-stripped line:
+/// `wait_committed`/`wait_mark_beyond` on any receiver (only the WAL
+/// has them), `append`/`flush` on a receiver chain that mentions `wal`
+/// (`wal.append(..)`, `core.wal().unwrap().flush()`) — the same names
+/// on a `Vec` or a socket are not waits.
+fn blocking_wal_wait(squished: &str) -> Option<&'static str> {
+    const WAL_ONLY: [&str; 2] = [".wait_committed(", ".wait_mark_beyond("];
+    const ON_WAL: [&str; 2] = [".append(", ".flush("];
+    if let Some(w) = WAL_ONLY.iter().find(|w| squished.contains(**w)) {
+        return Some(w);
+    }
+    ON_WAL.iter().copied().find(|call| {
+        squished.match_indices(call).any(|(at, _)| {
+            let chain = &squished[..at];
+            let start = chain
+                .rfind(|c: char| !(c.is_alphanumeric() || "_.()[]?:".contains(c)))
+                .map_or(0, |i| i + 1);
+            chain[start..].to_ascii_lowercase().contains("wal")
+        })
+    })
+}
+
 /// Whitespace-stripped code, for substring patterns.
 fn squish(code: &str) -> String {
     code.chars().filter(|c| !c.is_whitespace()).collect()
@@ -438,6 +464,19 @@ pub fn check_file(path: &str, kind: FileKind, src: &str) -> Vec<Finding> {
                             ),
                             &lines,
                         );
+                    } else if path.starts_with("crates/service/src/reactor/") {
+                        if let Some(w) = blocking_wal_wait(&squished[idx]) {
+                            push(
+                                idx,
+                                rule,
+                                format!(
+                                    "blocking WAL wait `{w}` on the reactor; the event loop \
+                                     submits and learns of commits through the WAL's \
+                                     commit waker, it never sleeps on the log"
+                                ),
+                                &lines,
+                            );
+                        }
                     }
                 }
                 RuleId::WalDurability => {

@@ -766,6 +766,45 @@ fn real_blocking_layer_passes_the_new_rules() {
 }
 
 #[test]
+fn blocking_in_hot_path_flags_wal_waits_on_the_reactor() {
+    // Every blocking WAL wait, whatever the handle's spelling, fires on
+    // the reactor (the suppressed line stays silent)…
+    let src = "fn on_frame(core: &Core, wal: &Wal, cancel: &AtomicBool) {\n    wal.append(\"s\", 1, 1, &[]).unwrap();\n    core.wal().unwrap().flush().unwrap();\n    let m = self.wal.wait_mark_beyond(0, cancel);\n    w.wait_committed(m);\n    // lint:allow(blocking-in-hot-path) -- startup replay, before the loop.\n    wal.flush().unwrap();\n}\n";
+    assert_eq!(
+        fire_lines(
+            RuleId::BlockingInHotPath,
+            "crates/service/src/reactor/mod.rs",
+            FileKind::Prod,
+            src
+        ),
+        vec![2, 3, 4, 5]
+    );
+    // …but the threaded server may block its worker on `wal.append`:
+    // that is the WAL carve-out.
+    assert!(fire_lines(
+        RuleId::BlockingInHotPath,
+        "crates/service/src/server.rs",
+        FileKind::Prod,
+        src
+    )
+    .is_empty());
+}
+
+#[test]
+fn blocking_in_hot_path_allows_non_wal_appends_and_wal_submits() {
+    // Buffer appends, socket flushes, and the non-blocking WAL calls
+    // the reactor is built on stay silent.
+    let src = "fn on_frame(out: &mut Vec<u8>, more: &mut Vec<u8>, s: &mut TcpStream, wal: &Wal) {\n    out.append(more);\n    s.flush().unwrap();\n    self.flush_conn(0);\n    let t = wal.submit(\"s\", 1, 1, &[]).unwrap();\n    let done = wal.commit_mark() >= t;\n    let _ = wal.set_commit_waker(Box::new(|_| {}));\n}\n";
+    assert!(fire_lines(
+        RuleId::BlockingInHotPath,
+        "crates/service/src/reactor/mod.rs",
+        FileKind::Prod,
+        src
+    )
+    .is_empty());
+}
+
+#[test]
 fn blocking_in_hot_path_ignores_socket_io() {
     // The reactor reads and writes sockets on every readiness edge;
     // `.read(buf)`/`.write(bytes)` take arguments and are io, not lock

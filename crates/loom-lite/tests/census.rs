@@ -4,6 +4,8 @@
 //! file — `scripts/verify.sh` sets it so every verified tree ships a
 //! machine-readable record of how many schedules its proofs covered.
 
+mod support;
+
 use oisum_core::AtomicU64Like;
 use oisum_loom_lite::{binomial, Model, ModelAtomicU64, ModelMutex, Report, ThreadBody};
 
@@ -118,6 +120,12 @@ fn outcome_census_and_artifact() {
     );
     assert_eq!(racy.outcomes.len(), 2, "lost update must appear as a second outcome");
     entries.push(racy.census_json("racy_rmw"));
+
+    // The reactor's `never` WAL path (asserted in wal_model.rs): how
+    // many bounded schedules the inline-submit proof covers.
+    let wal = support::never_inline_submit_race();
+    assert_eq!(wal.outcomes.len(), 1);
+    entries.push(wal.census_json("wal_never_inline_submit_race"));
 
     if let Ok(path) = std::env::var("OISUM_LOOMLITE_OUT") {
         let body = format!("[\n  {}\n]\n", entries.join(",\n  "));

@@ -18,8 +18,13 @@
 //!   watermark covers everything `committed` claims (with fsync on), so
 //!   an `Ok` append was durable when ACKed;
 //! * **clean close** — the sink is sealed exactly once, after all
-//!   records.
+//!   records;
+//! * **waker per mark** — the commit waker (the reactor's only wakeup)
+//!   ran once for every mark the queue-draining path published, with
+//!   that mark.
 //!
+//! The harness lives in `support/` so the schedule census can record
+//! the same scenarios' execution counts.
 //! The contended park path once had a genuine stranding window here: an
 //! appender that lost the segment-lock race to a direct committer whose
 //! group did not cover its ticket could park on `done` just as that
@@ -28,132 +33,15 @@
 //! flush, or close. These scenarios fail with a lost-wakeup verdict if
 //! that hand-to-committer fix regresses.
 
-use oisum_loom_lite::{declare_lock_order, Model, ModelSyncShim, ThreadBody};
-use oisum_service::wal::{FsyncPolicy, MemSink, SegmentSink, Shared, WalError, LOCK_ORDER};
-use std::sync::{Arc, Mutex as StdMutex};
+mod support;
+
+use oisum_loom_lite::{declare_lock_order, Model};
+use oisum_service::wal::{FsyncPolicy, LOCK_ORDER};
 use std::time::Duration;
-
-/// [`MemSink`] behind an `Arc` so the scenario can still observe it
-/// after the committer's close path takes it out of the protocol
-/// (`*seg = None`, exactly as production drops the sealed file). The
-/// inner `std` mutex is never contended — the protocol only touches the
-/// sink under the model-checked `segment` lock — so it adds no blocking
-/// the scheduler can't see.
-struct SharedSink(Arc<StdMutex<MemSink>>);
-
-impl SharedSink {
-    fn mem(&self) -> std::sync::MutexGuard<'_, MemSink> {
-        self.0.lock().unwrap()
-    }
-}
-
-impl SegmentSink for SharedSink {
-    fn commit_one(
-        &mut self,
-        stream: &str,
-        client_id: u64,
-        seq: u64,
-        value_bytes: &[u8],
-        fsync: bool,
-    ) -> Result<(), WalError> {
-        self.mem().commit_one(stream, client_id, seq, value_bytes, fsync)
-    }
-    fn ensure_group_fits(&mut self, incoming: usize) -> Result<(), WalError> {
-        self.mem().ensure_group_fits(incoming)
-    }
-    fn commit_group(&mut self, buf: &mut [u8], count: u64, fsync: bool) -> Result<(), WalError> {
-        self.mem().commit_group(buf, count, fsync)
-    }
-    fn rotate_if_full(&mut self) -> Result<(), WalError> {
-        self.mem().rotate_if_full()
-    }
-    fn seal(&mut self) -> Result<(), WalError> {
-        self.mem().seal()
-    }
-    fn index(&self) -> u64 {
-        self.mem().index()
-    }
-}
-
-struct WalScenario {
-    shared: Shared<ModelSyncShim, SharedSink>,
-    sink: Arc<StdMutex<MemSink>>,
-}
-
-fn mk_scenario(fsync: FsyncPolicy) -> WalScenario {
-    let sink = Arc::new(StdMutex::new(MemSink::default()));
-    WalScenario {
-        // spin_budget 0: a spin only re-checks the same state, so in
-        // the model it would just multiply identical schedules.
-        shared: Shared::new(fsync, SharedSink(Arc::clone(&sink)), 0, 0),
-        sink,
-    }
-}
-
-/// An appender thread: appends one record and, on ACK, probes the
-/// ACKed-implies-durable and dense-watermark invariants at that very
-/// point in the schedule (not just at the end).
-fn appender(id: u64, fsyncs: bool) -> ThreadBody<WalScenario> {
-    Box::new(move |s: &WalScenario| {
-        s.shared
-            .append("model", id, 1, &id.to_le_bytes())
-            .expect("append must be ACKed");
-        s.shared.probe(|sink, submitted, committed| {
-            assert!(committed <= submitted, "watermark must stay dense");
-            if fsyncs {
-                if let Some(sink) = sink {
-                    let m = sink.mem();
-                    assert!(
-                        m.synced_records >= committed,
-                        "ACKed-implies-durable: committed {} > synced {}",
-                        committed,
-                        m.synced_records
-                    );
-                }
-            }
-        });
-    })
-}
-
-fn committer() -> ThreadBody<WalScenario> {
-    Box::new(|s: &WalScenario| s.shared.run_committer())
-}
-
-/// An appender that doubles as the closer: appends, then waits
-/// (blocking, counted — never polling) for all `n` tickets to commit
-/// and stops the committer so it drains and seals. Folding the roles
-/// keeps the thread count at three, which is what keeps the
-/// preemption-bounded tree enumerable in seconds rather than minutes —
-/// and the stranding window needs only two appenders plus the
-/// committer anyway.
-fn appender_then_closer(id: u64, fsyncs: bool, n: u64) -> ThreadBody<WalScenario> {
-    let append = appender(id, fsyncs);
-    Box::new(move |s: &WalScenario| {
-        append(s);
-        s.shared.wait_committed(n);
-        s.shared.request_stop();
-    })
-}
-
-/// Waits (blocking, counted — never polling) for all `n` tickets to
-/// commit, then stops the committer so it drains and seals.
-fn closer(n: u64) -> ThreadBody<WalScenario> {
-    Box::new(move |s: &WalScenario| {
-        s.shared.wait_committed(n);
-        s.shared.request_stop();
-    })
-}
-
-/// The end-state every schedule must agree on.
-fn observe(n: u64) -> impl Fn(&WalScenario) -> (u64, u64, u64, u64, bool) {
-    move |s: &WalScenario| {
-        let (submitted, committed) = s.shared.queue_snapshot();
-        let m = s.sink.lock().unwrap();
-        assert_eq!(submitted, n, "every append got a ticket");
-        assert_eq!(committed, n, "dense watermark covers every ticket");
-        (submitted, committed, m.records, m.synced_records, m.sealed)
-    }
-}
+use support::{
+    appender, appender_then_closer, closer, committer, mk_scenario, never_inline_submit_race,
+    observe,
+};
 
 /// The ordering witness: the constant the production annotation
 /// (`lint:lock-order`) and these scenarios both rely on.
@@ -174,7 +62,7 @@ fn wal_always_single_appender() {
         observe(1),
     );
     declare_lock_order(&[]);
-    assert_eq!(*report.sole_outcome(), (1, 1, 1, 1, true));
+    assert_eq!(*report.sole_outcome(), (1, 1, 1, 1, true, 0));
     assert!(report.executions > 10, "blocking points must branch the tree");
 }
 
@@ -192,7 +80,7 @@ fn wal_always_two_appenders_bounded() {
         observe(2),
     );
     declare_lock_order(&[]);
-    assert_eq!(*report.sole_outcome(), (2, 2, 2, 2, true));
+    assert_eq!(*report.sole_outcome(), (2, 2, 2, 2, true, 0));
 }
 
 /// Two appenders under the `group` policy: both records travel through
@@ -208,7 +96,7 @@ fn wal_group_two_appenders_bounded() {
         observe(2),
     );
     declare_lock_order(&[]);
-    assert_eq!(*report.sole_outcome(), (2, 2, 2, 2, true));
+    assert_eq!(*report.sole_outcome(), (2, 2, 2, 2, true, 0));
 }
 
 /// `never` policy: no fsync anywhere — `synced_records` stays 0, but
@@ -222,5 +110,17 @@ fn wal_never_two_appenders_bounded() {
         observe(2),
     );
     declare_lock_order(&[]);
-    assert_eq!(*report.sole_outcome(), (2, 2, 2, 0, true));
+    assert_eq!(*report.sole_outcome(), (2, 2, 2, 0, true, 0));
+}
+
+/// The reactor's `never` path: an inline submit races a queued submit
+/// (its record would reach the rotation threshold), the committer and
+/// a closer. Dense watermark and ACKed-implies-durable are probed at
+/// each ACK; the end state also checks one waker call per mark the
+/// committer published (see `support::observe`).
+#[test]
+fn wal_never_inline_submit_races_queued_submit() {
+    let report = never_inline_submit_race();
+    assert_eq!(*report.sole_outcome(), (2, 2, 2, 0, true, 1));
+    assert!(report.executions > 100, "four threads must branch the tree");
 }

@@ -85,10 +85,12 @@ pub enum WalMode {
     /// the threaded server, where each connection owns a thread that
     /// can afford to sleep on the group-commit condvar.
     Block,
-    /// Enqueue the record and return its ticket without waiting — the
-    /// epoll reactor, which parks the *connection* (zero threads) and
-    /// releases the already-formatted reply once the WAL's commit mark
-    /// covers the ticket.
+    /// Submit the record without waiting — the epoll reactor. If the
+    /// commit mark already covers the ticket when `submit` returns (an
+    /// inline `never` commit), the reply is sent at once; otherwise the
+    /// reactor parks the *connection* (zero threads) and releases the
+    /// already-formatted reply once the committer's waker reports a
+    /// mark that covers the ticket.
     Submit,
 }
 
@@ -99,10 +101,11 @@ pub enum FrameOutcome {
     /// initiate shutdown after sending it (mirrors
     /// [`RequestCore::handle_frame`]).
     Done(Response, bool),
-    /// The batch is applied and its WAL record enqueued: send
-    /// `response` only once the commit mark reaches `ticket` (or
-    /// replace it with a typed error if the log crashes first). Only
-    /// tracked `Add`s under [`WalMode::Submit`] produce this.
+    /// The batch is applied and its WAL record queued for the
+    /// committer: send `response` only once the commit mark reaches
+    /// `ticket` (or replace it with a typed error if the log crashes
+    /// first). Only tracked `Add`s under [`WalMode::Submit`] whose
+    /// ticket the mark did not yet cover at submit time produce this.
     WalPending {
         /// The dense group-commit ticket to watch the mark for.
         ticket: u64,
@@ -249,9 +252,11 @@ impl RequestCore {
     /// and between commit and ACK (batch durable, never ACKed).
     /// Under [`WalMode::Block`] this is exactly the old blocking
     /// `commit_durable` (returns `Ok(None)` once the commit covers the
-    /// record); under [`WalMode::Submit`] the record is enqueued and
-    /// its ticket returned as `Ok(Some(ticket))` — the caller must hold
-    /// the ACK until the commit mark covers it.
+    /// record); under [`WalMode::Submit`] the record is submitted and,
+    /// unless the commit mark already covers it (an inline `never`
+    /// commit, also `Ok(None)`), its ticket returned as
+    /// `Ok(Some(ticket))` — the caller must hold the ACK until the
+    /// commit mark covers it.
     fn commit_step(
         &self,
         stream: &str,
@@ -275,10 +280,12 @@ impl RequestCore {
                     .map_err(|e| refuse(format!("wal append failed: {e}")))?;
                 None
             }
-            WalMode::Submit => Some(
-                wal.submit(stream, client_id, seq, value_bytes)
-                    .map_err(|e| refuse(format!("wal submit failed: {e}")))?,
-            ),
+            WalMode::Submit => {
+                let ticket = wal
+                    .submit(stream, client_id, seq, value_bytes)
+                    .map_err(|e| refuse(format!("wal submit failed: {e}")))?;
+                (wal.commit_mark() < ticket).then_some(ticket)
+            }
         };
         if oisum_faults::check("server.crash.after_commit").is_some() {
             wal.crash();

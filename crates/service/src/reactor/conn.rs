@@ -9,7 +9,8 @@
 //! a pooled output buffer that drains opportunistically and on
 //! writability edges; a connection whose reply sits behind a WAL
 //! group-commit ticket parks — holding the formatted bytes, costing no
-//! thread — until the reactor's commit pump releases it.
+//! thread — until the committer's waker reports a mark that covers
+//! its ticket and the reactor releases it.
 //!
 //! Reads and writes go through [`read_nb`]/[`write_nb`], the two
 //! EAGAIN-aware wrappers: `Ok(None)` is "would block, wait for the next

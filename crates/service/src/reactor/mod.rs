@@ -13,16 +13,18 @@
 //! ## WAL parking
 //!
 //! A tracked `Add` under the reactor uses
-//! [`WalMode::Submit`](crate::dispatch::WalMode): the record is
-//! enqueued on the group committer and the connection *parks* holding
-//! its already-formatted reply — no thread waits. One pump thread
-//! sleeps on the WAL's commit mark on behalf of every parked
-//! connection and relays each advance through an eventfd
-//! ([`sys::EventFd`]); the reactor then releases, in ticket order,
-//! every reply the new mark licenses. The fsync amortizes over
-//! everything a readiness burst submitted — which is exactly the
-//! group-commit design point the thread-per-connection transport
-//! cannot reach (its groups are capped by thread count).
+//! [`WalMode::Submit`](crate::dispatch::WalMode). Under fsync `never`
+//! an uncontended submit commits inline on the reactor thread and the
+//! reply goes out at once, with no thread handoff. Otherwise the record
+//! is queued for the group committer and the connection *parks*
+//! holding its already-formatted reply — no thread waits. The reactor
+//! registers its eventfd ([`sys::EventFd`]) as the WAL's commit waker:
+//! the committer signals it after every mark it publishes (and on a
+//! crash), and the reactor then reads the mark and releases, in ticket
+//! order, every reply it licenses. The fsync amortizes over everything
+//! a readiness burst submitted — which is exactly the group-commit
+//! design point the thread-per-connection transport cannot reach (its
+//! groups are capped by thread count).
 //!
 //! ## Shutdown
 //!
@@ -50,7 +52,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::io;
 use std::net::TcpListener;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -102,7 +104,6 @@ pub(crate) fn run(
         free: Vec::new(),
         pool: BufPool::new(),
         parked: BinaryHeap::new(),
-        pump_mark: Arc::new(AtomicU64::new(0)),
         scratch_json: String::new(),
         scratch_frame: Vec::with_capacity(256),
         events: Vec::with_capacity(EVENTS_PER_WAIT),
@@ -111,61 +112,22 @@ pub(crate) fn run(
     reactor.epoll.add(&reactor.listener, TOKEN_LISTENER)?;
     reactor.waker.register(&reactor.epoll, TOKEN_WAKER)?;
 
-    // The WAL pump: one thread parks on the commit mark for every
-    // parked connection and relays advances through the waker. It owns
-    // the only blocking wait on this transport.
-    let pump_cancel = Arc::new(AtomicBool::new(false));
-    let pump = reactor.core.wal().map(|wal| {
-        let wal = Arc::clone(wal);
-        let waker = Arc::clone(&reactor.waker);
-        let mark_out = Arc::clone(&reactor.pump_mark);
-        let cancel = Arc::clone(&pump_cancel);
-        std::thread::Builder::new()
-            .name("oisum-reactor-wal-pump".to_owned())
-            .spawn(move || {
-                let mut seen = 0u64;
-                loop {
-                    // lint:allow(blocking-in-hot-path) -- the pump thread exists to block; the reactor thread never runs this.
-                    let mark = wal.wait_mark_beyond(seen, &cancel);
-                    // ORDERING: SeqCst — pairs with the store below;
-                    // the cancel store happens before wake_waiters, so
-                    // a woken pump always observes it.
-                    if cancel.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    let crashed = wal.is_crashed();
-                    if mark > seen || crashed {
-                        // ORDERING: Release/The reactor reads with
-                        // Acquire after the eventfd wake; the mark is
-                        // monotonic so staleness only delays a release.
-                        mark_out.store(mark, Ordering::Release);
-                        let _ = waker.signal();
-                    }
-                    if crashed || mark == seen {
-                        // Poisoned (no mark will ever advance) or the
-                        // WAL is stopping: nothing left to pump.
-                        return;
-                    }
-                    seen = mark;
-                }
-            })
-    });
-
-    let result = reactor.event_loop();
-
-    // Stop the pump before closing the WAL: cancellation is level-
-    // triggered (flag, then wake).
-    // ORDERING: SeqCst — must be visible before the wake_waiters call
-    // below lands, or the pump re-blocks forever.
-    pump_cancel.store(true, Ordering::SeqCst);
+    // The committer signals the waker after every commit mark it
+    // publishes (and on a crash); release_parked then reads the mark.
     if let Some(wal) = reactor.core.wal() {
-        wal.wake_waiters();
+        let waker = Arc::clone(&reactor.waker);
+        let registered = wal.set_commit_waker(Box::new(move |_mark| {
+            let _ = waker.signal();
+        }));
+        if !registered {
+            return Err(io::Error::new(
+                io::ErrorKind::AlreadyExists,
+                "the WAL already wakes another reactor",
+            ));
+        }
     }
-    if let Some(Ok(handle)) = pump {
-        // lint:allow(blocking-in-hot-path) -- shutdown tail; the event loop has already exited.
-        let _ = handle.join();
-    }
-    result?;
+
+    reactor.event_loop()?;
 
     // The same exit tail as the threaded acceptor: drain + seal the
     // commit group, then persist, then GC what the snapshot dominates.
@@ -200,8 +162,6 @@ struct Reactor {
     /// so a popped ticket that doesn't match the queue front is stale
     /// (the slot was recycled — tickets are never reused).
     parked: BinaryHeap<(Reverse<u64>, usize)>,
-    /// The pump's latest observed commit mark (reactor reads on wake).
-    pump_mark: Arc<AtomicU64>,
     /// Reply formatting scratch, shared across every connection — the
     /// reactor is single-threaded, so one pair serves 10k sockets.
     scratch_json: String,
@@ -441,16 +401,21 @@ impl Reactor {
         conn.out.extend_from_slice(&self.scratch_frame);
     }
 
-    /// Releases every parked reply whose ticket the pump's latest
-    /// commit mark covers; on a WAL crash, fails the uncommitted ones
+    /// Releases every parked reply whose ticket the WAL's commit mark
+    /// covers; on a WAL crash, fails the uncommitted ones
     /// with a typed error instead (the log will never advance again).
     /// The heap pops tickets in ascending order and each connection's
     /// queue is ascending, so replies rejoin `out` in request order —
     /// error replies included.
     fn release_parked(&mut self) {
-        // ORDERING: Acquire — pairs with the pump's Release store.
-        let mark = self.pump_mark.load(Ordering::Acquire);
-        let crashed = self.core.wal().is_some_and(|w| w.is_crashed());
+        let Some(wal) = self.core.wal() else { return };
+        // Once the log has crashed, a ticket the mark does not cover may
+        // never commit, so it is refused rather than left parked. A
+        // group in flight at the crash may still publish after this read:
+        // refusing its durable records is safe, since they were never
+        // ACKed and a client retry dedups against them on replay.
+        let crashed = wal.is_crashed();
+        let mark = wal.commit_mark();
         while let Some(&(Reverse(ticket), idx)) = self.parked.peek() {
             if ticket > mark && !crashed {
                 break;

@@ -259,7 +259,7 @@ mod imp {
 
     // SAFETY: the wrapped value is an fd number; read/write on an
     // eventfd are atomic counter ops the kernel serializes, so sharing
-    // across threads (pump signals, reactor drains) is sound.
+    // across threads (committer signals, reactor drains) is sound.
     unsafe impl Send for EventFd {}
     // SAFETY: as above — `&EventFd` only exposes those atomic fd ops.
     unsafe impl Sync for EventFd {}

@@ -63,6 +63,18 @@
 //! wakeups. The server sends an `Added` ACK only after `append`
 //! returns, which is the whole contract.
 //!
+//! [`Wal::submit`] is the non-blocking twin for the epoll reactor: it
+//! returns a ticket, and the ACK waits until
+//! [`Wal::commit_mark`] covers it. Under `never` a submit that wins the
+//! segment lock over an empty queue, with a record that fits below the
+//! rotation threshold, takes the same group-of-one inline commit and
+//! returns a ticket the mark already covers; every other submit is
+//! queued for the committer, which therefore still performs every
+//! fsync and every segment seal, create and pre-fault. After each group
+//! it publishes, the committer calls the registered commit waker
+//! ([`Wal::set_commit_waker`]) so the reactor learns of the new mark
+//! without a thread parked on it.
+//!
 //! ## Mapped segments
 //!
 //! On linux/x86_64, a new segment is pre-sized with real block
@@ -361,13 +373,7 @@ pub fn encode_record(
     seq: u64,
     value_bytes: &[u8],
 ) -> Result<Vec<u8>, WalError> {
-    if stream.len() > u16::MAX as usize {
-        return Err(WalError::StreamNameTooLong { len: stream.len() });
-    }
-    let payload_len = RECORD_FIXED + stream.len() + value_bytes.len();
-    if payload_len > MAX_RECORD_PAYLOAD {
-        return Err(WalError::RecordTooLarge { len: payload_len });
-    }
+    let payload_len = checked_payload_len(stream, value_bytes)?;
     let mut rec = Vec::with_capacity(RECORD_OVERHEAD + payload_len);
     rec.extend_from_slice(&(payload_len as u32).to_be_bytes());
     rec.extend_from_slice(&client_id.to_be_bytes());
@@ -378,6 +384,19 @@ pub fn encode_record(
     let sum = fnv4(&rec[4..]);
     rec.extend_from_slice(&sum.to_be_bytes());
     Ok(rec)
+}
+
+/// The payload length of a record for `stream` carrying `value_bytes`,
+/// or the refusal [`encode_record`] would give it.
+fn checked_payload_len(stream: &str, value_bytes: &[u8]) -> Result<usize, WalError> {
+    if stream.len() > u16::MAX as usize {
+        return Err(WalError::StreamNameTooLong { len: stream.len() });
+    }
+    let payload_len = RECORD_FIXED + stream.len() + value_bytes.len();
+    if payload_len > MAX_RECORD_PAYLOAD {
+        return Err(WalError::RecordTooLarge { len: payload_len });
+    }
+    Ok(payload_len)
 }
 
 /// Record-payload checksum: four interleaved word-wide FNV-1a 64 lanes.
@@ -486,6 +505,11 @@ pub trait SegmentSink: Send + 'static {
         value_bytes: &[u8],
         fsync: bool,
     ) -> Result<(), WalError>;
+    /// True when a record of `framed` bytes can be committed without
+    /// reaching the rotation threshold, so an inline commit of it never
+    /// seals, creates or pre-faults a segment — that work stays on the
+    /// committer thread.
+    fn fits_inline(&self, framed: usize) -> bool;
     /// Makes room for `incoming` more bytes (rotating early if the
     /// current segment cannot hold them).
     fn ensure_group_fits(&mut self, incoming: usize) -> Result<(), WalError>;
@@ -503,8 +527,9 @@ pub trait SegmentSink: Send + 'static {
 
 /// An in-memory [`SegmentSink`] for the model checker's WAL scenarios:
 /// commits append framed bytes to a `Vec`, "fsync" advances a durable
-/// watermark, and sealing sets a flag. The fields are deliberately
-/// public — the scenarios' invariant checks read them directly.
+/// watermark, sealing sets a flag, and an optional byte threshold
+/// models rotation. The fields are deliberately public — the
+/// scenarios' invariant checks read them directly.
 #[derive(Debug, Default)]
 pub struct MemSink {
     /// Concatenated framed record bytes, in commit order.
@@ -516,6 +541,16 @@ pub struct MemSink {
     pub synced_records: u64,
     /// Set by [`SegmentSink::seal`].
     pub sealed: bool,
+    /// Rotation threshold in bytes of the current segment; 0 never
+    /// rotates (and every record fits inline).
+    pub rotate_at: usize,
+    /// Bytes committed to the current segment.
+    pub segment_len: usize,
+    /// Segments sealed by rotation.
+    pub rotations: u64,
+    /// `records` after each [`SegmentSink::commit_group`]: exactly the
+    /// commit marks the queue-draining path publishes.
+    pub group_ends: Vec<u64>,
 }
 
 impl SegmentSink for MemSink {
@@ -529,11 +564,16 @@ impl SegmentSink for MemSink {
     ) -> Result<(), WalError> {
         let rec = encode_record(stream, client_id, seq, value_bytes)?;
         self.bytes.extend_from_slice(&rec);
+        self.segment_len += rec.len();
         self.records += 1;
         if fsync {
             self.synced_records = self.records;
         }
         Ok(())
+    }
+
+    fn fits_inline(&self, framed: usize) -> bool {
+        self.rotate_at == 0 || self.segment_len + framed < self.rotate_at
     }
 
     fn ensure_group_fits(&mut self, _incoming: usize) -> Result<(), WalError> {
@@ -542,14 +582,20 @@ impl SegmentSink for MemSink {
 
     fn commit_group(&mut self, buf: &mut [u8], count: u64, fsync: bool) -> Result<(), WalError> {
         self.bytes.extend_from_slice(buf);
+        self.segment_len += buf.len();
         self.records += count;
         if fsync {
             self.synced_records = self.records;
         }
+        self.group_ends.push(self.records);
         Ok(())
     }
 
     fn rotate_if_full(&mut self) -> Result<(), WalError> {
+        if self.rotate_at != 0 && self.segment_len >= self.rotate_at {
+            self.segment_len = 0;
+            self.rotations += 1;
+        }
         Ok(())
     }
 
@@ -559,9 +605,16 @@ impl SegmentSink for MemSink {
     }
 
     fn index(&self) -> u64 {
-        0
+        self.rotations
     }
 }
+
+/// A callback run after every commit mark the queue-draining path
+/// publishes, and when the log is poisoned, with the mark at that
+/// moment. It runs on the committing thread, possibly with the segment
+/// lock held, so it must neither block nor call back into the log —
+/// the epoll reactor registers its eventfd's `signal`.
+pub type CommitWaker = Box<dyn Fn(u64) + Send + Sync>;
 
 /// The declared lock order of the group-commit protocol, outermost
 /// first: `segment` is locked strictly before `state` whenever both
@@ -629,6 +682,11 @@ pub struct Shared<S: SyncShimLike, G: SegmentSink> {
     /// 0 — a spin is invisible to correctness (it re-checks the same
     /// two conditions) and only multiplies the schedule tree.
     spin_budget: u32,
+    /// Called after each mark [`commit_locked`](Self::commit_locked)
+    /// publishes and on poison; see [`CommitWaker`]. Set at most once
+    /// (a log serves one reactor, whose exit tail closes it), and read
+    /// lock-free, so it adds no blocking point to the protocol.
+    commit_waker: std::sync::OnceLock<CommitWaker>,
 }
 
 impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
@@ -660,6 +718,20 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
             done_waiters: S::Atomic::new(0),
             groups: S::Atomic::new(0),
             spin_budget,
+            commit_waker: std::sync::OnceLock::new(),
+        }
+    }
+
+    /// Registers the [`CommitWaker`]. Returns false (and drops `waker`)
+    /// if one is already registered.
+    pub fn set_commit_waker(&self, waker: CommitWaker) -> bool {
+        self.commit_waker.set(waker).is_ok()
+    }
+
+    /// Runs the commit waker, if any, with the current mark.
+    fn wake_committed(&self) {
+        if let Some(waker) = self.commit_waker.get() {
+            waker(self.commit_mark());
         }
     }
 
@@ -682,6 +754,7 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
         S::notify_all(&self.work);
         // Unconditional: a crash is rare and must wake everything.
         S::notify_all(&self.done);
+        self.wake_committed();
     }
 
     /// Parks on `done`, counted. Every wait on `done` must go through
@@ -808,13 +881,7 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
         // Validation first: a ticket, once issued, must eventually be
         // covered by `committed` (the watermark is dense), so nothing
         // refusable may happen between ticket issue and commit.
-        if stream.len() > u16::MAX as usize {
-            return Err(WalError::StreamNameTooLong { len: stream.len() });
-        }
-        let payload_len = RECORD_FIXED + stream.len() + value_bytes.len();
-        if payload_len > MAX_RECORD_PAYLOAD {
-            return Err(WalError::RecordTooLarge { len: payload_len });
-        }
+        checked_payload_len(stream, value_bytes)?;
         let mut s = self.lock();
         if let Some(detail) = &s.crashed {
             return Err(WalError::Crashed(detail.clone()));
@@ -834,22 +901,78 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
         }
         s.submitted += 1;
         let ticket = s.submitted;
-        debug_assert_eq!(s.committed + 1, ticket, "empty queue means all prior tickets committed");
         drop(s);
         let fsync = !matches!(self.fsync, FsyncPolicy::Never);
         let result = segment
             .commit_one(stream, client_id, seq, value_bytes, fsync)
             .and_then(|()| segment.rotate_if_full());
+        self.finish_inline(segment, ticket, result)
+    }
+
+    /// `never`-policy inline submit holding the segment lock: with an
+    /// empty queue and a record that fits below the rotation threshold,
+    /// the record is a complete group of one, framed straight into the
+    /// segment with no fsync (the `never` licence `append_won` already
+    /// has). Returns `None` — having issued no ticket — whenever the
+    /// record must take the queue instead: a refusable record (the
+    /// queue path reports the refusal), a crashed or stopping log, a
+    /// non-empty queue (committing ours first would break the dense
+    /// watermark), or a record that would make the segment rotate
+    /// (sealing and creating segments stay on the committer thread).
+    // lint:holds(segment)
+    fn submit_won(
+        &self,
+        seg: &mut Option<G>,
+        stream: &str,
+        client_id: u64,
+        seq: u64,
+        value_bytes: &[u8],
+    ) -> Option<Result<u64, WalError>> {
+        let payload_len = checked_payload_len(stream, value_bytes).ok()?;
+        let segment = seg.as_mut()?;
+        if !segment.fits_inline(RECORD_OVERHEAD + payload_len) {
+            return None;
+        }
+        let mut s = self.lock();
+        if s.crashed.is_some() || s.stopping || !s.queue.is_empty() {
+            return None;
+        }
+        s.submitted += 1;
+        let ticket = s.submitted;
+        drop(s);
+        let result = segment.commit_one(stream, client_id, seq, value_bytes, false);
+        Some(self.finish_inline(segment, ticket, result).map(|()| ticket))
+    }
+
+    /// Publishes (or, on `Err`, poisons) an inline group of one whose
+    /// `ticket` was issued over an empty queue. The segment lock is
+    /// still held, so no other commit can have moved the watermark:
+    /// `ticket` is exactly the next one.
+    // lint:holds(segment)
+    fn finish_inline(
+        &self,
+        segment: &G,
+        ticket: u64,
+        result: Result<(), WalError>,
+    ) -> Result<(), WalError> {
         // ORDERING: Relaxed — monotonic GC boundary, as in commit_locked.
         self.active.store(segment.index(), Ordering::Relaxed);
         match result {
             Ok(()) => {
                 let mut s = self.lock();
+                debug_assert_eq!(
+                    s.committed + 1,
+                    ticket,
+                    "empty queue means all prior tickets committed"
+                );
                 s.committed = ticket;
+                // ORDERING: Relaxed — a statistics gauge, as in
+                // commit_locked: an inline commit is a group of one.
+                self.groups.fetch_add(1, Ordering::Relaxed);
                 // ORDERING: Release — publishes the durable watermark
                 // to the contended path's Acquire load; written only
                 // under the state lock, so it stays monotonic.
-                self.commit_mark.store(s.committed, Ordering::Release);
+                self.commit_mark.store(ticket, Ordering::Release);
                 Ok(())
             }
             Err(e) => {
@@ -969,14 +1092,23 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
         }
     }
 
-    /// Enqueues one tracked batch for the committer *without waiting*
-    /// for its group to commit, returning the batch's dense ticket. The
-    /// caller parks elsewhere (an epoll reactor parks the connection,
-    /// not a thread) and learns of completion by watching
-    /// [`commit_mark`](Self::commit_mark): once the mark reaches the
-    /// ticket, the group's write — and, per policy, its fsync — has
-    /// finished, and the ACK is licensed exactly as if a blocking
-    /// [`append`](Self::append) had returned `Ok`.
+    /// Logs one tracked batch *without waiting* for a committer,
+    /// returning the batch's dense ticket. The caller parks elsewhere
+    /// (an epoll reactor parks the connection, not a thread) and learns
+    /// of completion by watching [`commit_mark`](Self::commit_mark):
+    /// once the mark reaches the ticket, the group's write — and, per
+    /// policy, its fsync — has finished, and the ACK is licensed
+    /// exactly as if a blocking [`append`](Self::append) had returned
+    /// `Ok`. The committer calls the [`CommitWaker`] after every mark
+    /// it publishes, so a watcher never has to block on the log.
+    ///
+    /// Under `never` there is no fsync to wait for, so a submit that
+    /// wins the segment `try_lock` commits inline like `append_won`
+    /// (see `submit_won`) and returns a ticket the mark already
+    /// covers: no thread handoff at all. Every other submit — any
+    /// `always`/`group` submit, a lost `try_lock`, a non-empty queue,
+    /// or a record that would reach the rotation threshold — is
+    /// enqueued for the committer.
     ///
     /// Unlike `append`, `submit` never raises the `appending` gauge: the
     /// submitter is not blocked on this record, so there is no latency
@@ -991,6 +1123,18 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
         seq: u64,
         value_bytes: &[u8],
     ) -> Result<u64, WalError> {
+        if self.fsync == FsyncPolicy::Never {
+            if let Some(mut seg) = S::try_lock(&self.segment) {
+                let inline = self.submit_won(&mut seg, stream, client_id, seq, value_bytes);
+                drop(seg);
+                if let Some(out) = inline {
+                    // Blocking watchers (`wait_mark_beyond`, `flush`)
+                    // may be waiting on the mark this commit moved.
+                    self.notify_done();
+                    return out;
+                }
+            }
+        }
         let rec = encode_record(stream, client_id, seq, value_bytes)?;
         let mut s = self.lock();
         if let Some(detail) = &s.crashed {
@@ -1035,17 +1179,17 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
     }
 
     /// Parks (counted, on `done`) until the committed watermark moves
-    /// past `seen`, the log crashes, or `cancel` is raised; returns the
-    /// watermark at wakeup. This is the reactor's WAL pump: one thread
-    /// sleeps here on behalf of every connection parked on a
-    /// [`submit`](Self::submit) ticket, and relays each advance through
-    /// an eventfd. Cancellation is level-triggered — raise the flag,
-    /// then call [`wake_waiters`](Self::wake_waiters).
+    /// past `seen`, the log crashes or stops, or `cancel` is raised;
+    /// returns the watermark at wakeup. A blocking way to await a
+    /// [`submit`](Self::submit) ticket for callers that own a thread to
+    /// spare; the epoll reactor never calls it (it is woken through the
+    /// [`CommitWaker`] instead). `cancel` is re-checked on entry and
+    /// after every wakeup (a new mark, a crash or a stop); raising it
+    /// wakes nobody by itself.
     pub fn wait_mark_beyond(&self, seen: u64, cancel: &std::sync::atomic::AtomicBool) -> u64 {
         let mut s = self.lock();
-        // ORDERING: SeqCst — pairs with the canceller's store; taking
-        // the state lock in wake_waiters orders that store before our
-        // re-check (see wake_waiters).
+        // ORDERING: SeqCst — pairs with the canceller's store; a
+        // raised flag is seen at the next wakeup.
         while s.committed <= seen
             && s.crashed.is_none()
             && !s.stopping
@@ -1054,18 +1198,6 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
             s = self.wait_done(s);
         }
         s.committed
-    }
-
-    /// Unconditionally wakes every `done` waiter. The state lock is
-    /// taken (and released) first so a waiter mid-predicate-check cannot
-    /// park after the notify: either it still holds the lock — then this
-    /// call blocks until the waiter has atomically parked and the
-    /// notify lands after — or it re-checks its predicate after our
-    /// cancellation store is visible. Used to cancel a
-    /// [`wait_mark_beyond`](Self::wait_mark_beyond) pump.
-    pub fn wake_waiters(&self) {
-        drop(self.lock());
-        S::notify_all(&self.done);
     }
 
     /// Requests shutdown: the committer drains every queued record,
@@ -1142,6 +1274,9 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
     /// about to exit (which would strand the record: nobody else may
     /// ever commit or notify again).
     ///
+    /// It does call the [`CommitWaker`] after publishing the new mark
+    /// (or the crash), so every group reaches a parked reactor.
+    ///
     /// Returns false once the log is poisoned — the spinning fast path
     /// must stop retrying then, or a crash would livelock it (the mark
     /// can never cover its ticket).
@@ -1188,7 +1323,7 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
         // under-collect.
         self.active.store(segment.index(), Ordering::Relaxed);
         let mut s = self.lock();
-        match result {
+        let alive = match result {
             Ok(()) => {
                 s.committed += count;
                 // ORDERING: Relaxed — a statistics gauge; readers only
@@ -1206,7 +1341,12 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
                 }
                 false
             }
-        }
+        };
+        drop(s);
+        // Replies parked on submit tickets wait for exactly this: a new
+        // mark, or the crash that means it will never come.
+        self.wake_committed();
+        alive
     }
 
     /// The committer loop: wait for work, accumulate a group per
@@ -1341,9 +1481,10 @@ impl Wal {
         self.shared.append(stream, client_id, seq, value_bytes)
     }
 
-    /// Enqueues one tracked batch for the committer without blocking,
-    /// returning its dense ticket; the ACK is licensed once
-    /// [`commit_mark`](Wal::commit_mark) reaches the ticket. See
+    /// Logs one tracked batch without blocking, returning its dense
+    /// ticket; the ACK is licensed once [`commit_mark`](Wal::commit_mark)
+    /// reaches the ticket. Under `never` an uncontended submit commits
+    /// inline and the mark already covers the ticket on return. See
     /// [`Shared::submit`] — this is the epoll reactor's append path,
     /// where a connection (not a thread) parks on the ticket.
     pub fn submit(
@@ -1362,17 +1503,19 @@ impl Wal {
         self.shared.commit_mark()
     }
 
-    /// Parks until the durable watermark moves past `seen`, the log
-    /// crashes/closes, or `cancel` is raised; returns the watermark at
-    /// wakeup. See [`Shared::wait_mark_beyond`].
-    pub fn wait_mark_beyond(&self, seen: u64, cancel: &std::sync::atomic::AtomicBool) -> u64 {
-        self.shared.wait_mark_beyond(seen, cancel)
+    /// Registers the callback the committer runs after every commit
+    /// mark it publishes and on poison (see [`CommitWaker`]). A log
+    /// takes one waker for its lifetime; returns false if one is
+    /// already registered.
+    pub fn set_commit_waker(&self, waker: CommitWaker) -> bool {
+        self.shared.set_commit_waker(waker)
     }
 
-    /// Wakes every watermark waiter (pairs with a raised `cancel` flag
-    /// to stop a [`wait_mark_beyond`](Wal::wait_mark_beyond) pump).
-    pub fn wake_waiters(&self) {
-        self.shared.wake_waiters()
+    /// Parks until the durable watermark moves past `seen` or the log
+    /// crashes/closes, re-checking `cancel` at every wakeup; returns
+    /// the watermark at wakeup. See [`Shared::wait_mark_beyond`].
+    pub fn wait_mark_beyond(&self, seen: u64, cancel: &std::sync::atomic::AtomicBool) -> u64 {
+        self.shared.wait_mark_beyond(seen, cancel)
     }
 
     /// Blocks until everything submitted so far has committed (or the
@@ -1589,13 +1732,7 @@ impl ActiveSegment {
         value_bytes: &[u8],
         fsync: bool,
     ) -> Result<(), WalError> {
-        if stream.len() > u16::MAX as usize {
-            return Err(WalError::StreamNameTooLong { len: stream.len() });
-        }
-        let payload_len = RECORD_FIXED + stream.len() + value_bytes.len();
-        if payload_len > MAX_RECORD_PAYLOAD {
-            return Err(WalError::RecordTooLarge { len: payload_len });
-        }
+        let payload_len = checked_payload_len(stream, value_bytes)?;
         let framed = RECORD_OVERHEAD + payload_len;
         self.ensure_group_fits(framed)?;
         if cfg!(feature = "failpoints") {
@@ -1731,6 +1868,12 @@ impl SegmentSink for ActiveSegment {
         fsync: bool,
     ) -> Result<(), WalError> {
         ActiveSegment::commit_one(self, stream, client_id, seq, value_bytes, fsync)
+    }
+
+    fn fits_inline(&self, framed: usize) -> bool {
+        // Below `target` is also inside the mapping, which is sized
+        // past it by the seal and slack.
+        self.bytes + (framed as u64) < self.target
     }
 
     fn ensure_group_fits(&mut self, incoming: usize) -> Result<(), WalError> {
@@ -1957,6 +2100,127 @@ mod tests {
         ));
         assert!(matches!(wal.close(), Err(WalError::Crashed(_))));
         fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Sealed-record count of the segment at `path` (0 if unsealed).
+    fn sealed_records(path: &Path) -> u64 {
+        let bytes = fs::read(path).unwrap();
+        let tail = &bytes[bytes.len() - SEAL_LEN..];
+        if u32::from_be_bytes(tail[..4].try_into().unwrap()) != SEAL_MARKER {
+            return 0;
+        }
+        u64::from_be_bytes(tail[4..12].try_into().unwrap())
+    }
+
+    #[test]
+    fn inline_appends_count_as_groups_of_one() {
+        // One appender under `always`/`never` always wins the segment
+        // lock over an empty queue: every record is its own group (and,
+        // under `always`, its own fsync).
+        const N: u64 = 40;
+        for fsync in [FsyncPolicy::Always, FsyncPolicy::Never] {
+            let dir = temp_dir(&format!("groups-{fsync}"));
+            let wal = Wal::open(WalConfig { fsync, ..WalConfig::new(&dir) }).unwrap();
+            for seq in 1..=N {
+                wal.append("s", 1, seq, &le_bytes(&[seq as f64])).unwrap();
+            }
+            assert_eq!(wal.group_stats(), (N, N), "{fsync}");
+            wal.close().unwrap();
+            fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
+    fn uncontended_never_submit_commits_inline() {
+        let dir = temp_dir("submit-inline");
+        let wal =
+            Wal::open(WalConfig { fsync: FsyncPolicy::Never, ..WalConfig::new(&dir) }).unwrap();
+        for seq in 1..=20u64 {
+            let ticket = wal.submit("s", 1, seq, &le_bytes(&[seq as f64])).unwrap();
+            assert_eq!(ticket, seq);
+            assert!(ticket <= wal.commit_mark(), "ticket {ticket} not covered on return");
+        }
+        assert_eq!(wal.group_stats(), (20, 20));
+        wal.close().unwrap();
+        let segments = list_segments(&dir).unwrap();
+        assert_eq!(sealed_records(&segments[0].1), 20);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn group_and_always_submits_never_commit_inline() {
+        for fsync in [FsyncPolicy::Always, FsyncPolicy::default()] {
+            // No committer yet, so a queued record stays visibly queued.
+            let shared = Shared::<StdSyncShim, MemSink>::new(fsync, MemSink::default(), 0, 0);
+            let ticket = shared.submit("s", 1, 1, &le_bytes(&[1.0])).unwrap();
+            assert!(shared.commit_mark() < ticket, "{fsync} committed inline");
+            assert_eq!(shared.queue_snapshot(), (1, 0));
+            shared.probe(|sink, _, _| assert_eq!(sink.unwrap().records, 0));
+            std::thread::scope(|scope| {
+                scope.spawn(|| shared.run_committer());
+                shared.wait_committed(ticket);
+                shared.request_stop();
+            });
+            assert_eq!(shared.commit_mark(), ticket);
+        }
+    }
+
+    #[test]
+    fn a_record_crossing_the_rotation_threshold_takes_the_queue() {
+        // 8 values under a 1-byte name frame to 95 bytes: after the
+        // 16-byte header two records fit below a 256-byte threshold,
+        // and the third would reach it.
+        let dir = temp_dir("submit-rotate");
+        fs::create_dir_all(&dir).unwrap();
+        let segment = ActiveSegment::create(&dir, 0, 256).unwrap();
+        let shared = Shared::<StdSyncShim, ActiveSegment>::new(FsyncPolicy::Never, segment, 0, 0);
+        let batch = le_bytes(&[0.5; 8]);
+        for seq in 1..=2u64 {
+            let ticket = shared.submit("s", 1, seq, &batch).unwrap();
+            assert!(ticket <= shared.commit_mark());
+        }
+        let ticket = shared.submit("s", 1, 3, &batch).unwrap();
+        assert_eq!(ticket, 3);
+        assert_eq!(shared.commit_mark(), 2, "the crossing record must be queued");
+        assert_eq!(shared.active_index(), 0);
+        std::thread::scope(|scope| {
+            scope.spawn(|| shared.run_committer());
+            shared.wait_committed(ticket);
+            // The committer sealed the full segment before publishing.
+            assert_eq!(shared.active_index(), 1);
+            shared.request_stop();
+        });
+        assert_eq!(shared.commit_mark(), 3);
+        assert_eq!(shared.group_stats(), (3, 3));
+        let segments = list_segments(&dir).unwrap();
+        assert_eq!(segments.len(), 2);
+        assert_eq!(sealed_records(&segments[0].1), 3);
+        assert_eq!(sealed_records(&segments[1].1), 0);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn the_commit_waker_sees_every_published_mark_and_the_crash() {
+        let shared =
+            Shared::<StdSyncShim, MemSink>::new(FsyncPolicy::Always, MemSink::default(), 0, 0);
+        let seen = std::sync::Arc::new(Mutex::new(Vec::new()));
+        let log = std::sync::Arc::clone(&seen);
+        assert!(shared.set_commit_waker(Box::new(move |mark| log.lock().unwrap().push(mark))));
+        assert!(!shared.set_commit_waker(Box::new(|_| {})), "one waker per log");
+        for seq in 1..=3u64 {
+            shared.submit("s", 1, seq, &le_bytes(&[1.0])).unwrap();
+        }
+        std::thread::scope(|scope| {
+            scope.spawn(|| shared.run_committer());
+            shared.wait_committed(3);
+            shared.poison("drill".to_owned());
+        });
+        let seen = seen.lock().unwrap();
+        // Every mark the committer published, then the crash wake.
+        let groups = shared.probe(|sink, _, _| sink.unwrap().group_ends.clone());
+        assert_eq!(seen[..groups.len()], groups[..]);
+        assert_eq!(seen.last(), Some(&3));
+        assert_eq!(seen.len(), groups.len() + 1);
     }
 
     #[test]

@@ -14,13 +14,24 @@
 use oisum_service::proto::{add_binary_bytes, frame_bytes, read_frame, Request, Response};
 use oisum_service::wal::{FsyncPolicy, WalConfig};
 use oisum_service::{
-    recovery, serve, Client, ServerConfig, ServiceHp, ShardedLedger, Transport,
+    recovery, serve, serve_with_core, Client, RequestCore, ServerConfig, ServiceHp, ShardedLedger,
+    Transport, Wal,
 };
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
+use std::sync::Arc;
+
+/// Serializes the WAL-backed tests with the failpoint storms below: the
+/// failpoint registry is process-global, so a crash seam a storm arms
+/// would otherwise fire inside a WAL-backed test running beside it.
+static SEAM_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn seam_lock() -> std::sync::MutexGuard<'static, ()> {
+    SEAM_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn temp_dir(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -223,6 +234,7 @@ fn malformed_frame_is_refused_without_collateral() {
 /// `(client_id, seq)`.
 #[test]
 fn wal_parking_acks_are_durable() {
+    let _seams = seam_lock();
     let dir = temp_dir("parking");
     let wal = WalConfig {
         fsync: FsyncPolicy::Group { max_batch: 64, max_wait: std::time::Duration::from_millis(2) },
@@ -258,6 +270,65 @@ fn wal_parking_acks_are_durable() {
     let ledger = ShardedLedger::new(4);
     recovery::recover(&dir, &ledger).unwrap();
     assert_eq!(ledger.sum("w").unwrap().as_limbs().to_vec(), expected);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Under `never` the reactor commits uncontended submits inline, while
+/// every record that would reach a tiny segment's rotation threshold
+/// is queued for the committer, which seals and creates the segments.
+/// Two connections interleave both paths across dozens of rotations; a
+/// crash drill right after the load, then recovery from the segments
+/// alone, must give back every ACKed batch bit for bit.
+#[test]
+fn never_inline_commits_and_committer_rotations_survive_a_crash() {
+    let _seams = seam_lock();
+    let dir = temp_dir("never-inline");
+    let config =
+        WalConfig { segment_bytes: 2048, fsync: FsyncPolicy::Never, ..WalConfig::new(&dir) };
+    let wal = Arc::new(Wal::open(config).unwrap());
+    let core = RequestCore::new(Arc::new(ShardedLedger::new(4))).with_wal(Arc::clone(&wal));
+    let server = serve_with_core(
+        &ServerConfig { transport: Transport::Epoll, ..ServerConfig::default() },
+        Arc::new(core),
+    )
+    .unwrap();
+    let addr = server.addr();
+
+    const STREAMS: usize = 3;
+    let data: Vec<Vec<f64>> = (0..2).map(|c| dataset(6_000, 40 + c)).collect();
+    std::thread::scope(|s| {
+        for values in &data {
+            s.spawn(move || {
+                let mut client = Client::connect(addr).unwrap();
+                for (i, batch) in values.chunks(30).enumerate() {
+                    client.add_binary(&format!("n{}", i % STREAMS), batch).unwrap();
+                }
+            });
+        }
+    });
+    // Every record is a 30-value batch (~270 framed bytes), so a
+    // 2 KiB segment rotates every few records — and only the committer
+    // ever rotates.
+    let (records, _) = wal.group_stats();
+    assert_eq!(records, 400);
+    assert!(wal.active_segment() > 20, "segments never rotated");
+    wal.crash();
+    server.shutdown();
+    // The poisoned WAL surfaces as a join error; the segments on disk
+    // are the source of truth.
+    let _ = server.join();
+
+    let ledger = ShardedLedger::new(4);
+    recovery::recover(&dir, &ledger).unwrap();
+    for k in 0..STREAMS {
+        let acked: Vec<f64> = data
+            .iter()
+            .flat_map(|values| values.chunks(30).skip(k).step_by(STREAMS).flatten().copied())
+            .collect();
+        let expected = ServiceHp::sum_f64_slice(&acked).as_limbs().to_vec();
+        let name = format!("n{k}");
+        assert_eq!(ledger.sum(&name).unwrap().as_limbs().to_vec(), expected, "{name}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -307,21 +378,18 @@ fn external_shutdown_with_idle_connections() {
 mod storms {
     //! Fault-seam storms over the reactor's nonblocking I/O wrappers
     //! and a crash-and-replay drill at connection scale. Serialized on
-    //! one lock because the failpoint registry is process-global.
+    //! `SEAM_LOCK` because the failpoint registry is process-global.
 
     use super::*;
     use oisum_faults::{registry, FaultAction, FireRule};
     use oisum_service::raise_nofile_limit;
-    use std::sync::Mutex;
-
-    static STORM_LOCK: Mutex<()> = Mutex::new(());
 
     struct Guard {
         _lock: std::sync::MutexGuard<'static, ()>,
     }
 
     fn guard() -> Guard {
-        let lock = STORM_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let lock = seam_lock();
         registry().reset(0);
         Guard { _lock: lock }
     }

@@ -115,7 +115,7 @@ echo "==> WAL gate: logged cost ceilings (never + group) + bitwise log replay"
 #     measurement bug that under-reported the cost as 0%).
 #   * `group` vs `never` over a 256-connection epoll fan — the fsync
 #     *discipline's* cost on identical machinery (accumulation windows,
-#     group coalescing, commit-mark pumping), ceiling 10%
+#     group coalescing, commit-mark wakeups), ceiling 10%
 #     (OISUM_GATE_WAL_GROUP_OVERHEAD_PCT). This is the ratio that
 #     caught the 89% group-commit stall regression.
 # The bench WAL lives on a tmpfs when one is mounted: these gates

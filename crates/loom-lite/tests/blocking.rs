@@ -71,9 +71,11 @@ fn condvar_rendezvous_clean() {
 /// waiter-side increment removed. The notifier updates the predicate,
 /// loads a waiter count that is still zero, and skips the notify; in
 /// the schedule where the waiter parks first, nothing ever wakes it.
-/// This is exactly the stranding class the real `append_contended` park
-/// path guards against by handing its record to the committer, and the
-/// checker must call it a lost wakeup, not hang.
+/// The real `Shared::wait_committed` keeps the increment inside
+/// `wait_done`, under the state lock, which is what lets
+/// `notify_done` skip the wake safely; this is the stranding class that
+/// guards against, and the checker must call it a lost wakeup, not
+/// hang.
 struct SkipGuard {
     state: ModelMutex<u64>, // committed watermark
     done: ModelCondvar,

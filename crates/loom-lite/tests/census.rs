@@ -121,11 +121,13 @@ fn outcome_census_and_artifact() {
     assert_eq!(racy.outcomes.len(), 2, "lost update must appear as a second outcome");
     entries.push(racy.census_json("racy_rmw"));
 
-    // The reactor's `never` WAL path (asserted in wal_model.rs): how
-    // many bounded schedules the inline-submit proof covers.
-    let wal = support::never_inline_submit_race();
-    assert_eq!(wal.outcomes.len(), 1);
-    entries.push(wal.census_json("wal_never_inline_submit_race"));
+    // The WAL scenarios (asserted in wal_model.rs): how many bounded
+    // schedules each proof covers.
+    for (name, scenario) in support::WAL_SCENARIOS {
+        let wal = scenario();
+        assert_eq!(wal.outcomes.len(), 1, "{name}");
+        entries.push(wal.census_json(name));
+    }
 
     if let Ok(path) = std::env::var("OISUM_LOOMLITE_OUT") {
         let body = format!("[\n  {}\n]\n", entries.join(",\n  "));

@@ -9,6 +9,7 @@
 use oisum_loom_lite::{declare_lock_order, Model, ModelSyncShim, Report, ThreadBody};
 use oisum_service::wal::{FsyncPolicy, MemSink, SegmentSink, Shared, WalError, LOCK_ORDER};
 use std::sync::{Arc, Mutex as StdMutex};
+use std::time::Duration;
 
 /// [`MemSink`] behind an `Arc` so the scenario can still observe it
 /// after the committer's close path takes it out of the protocol
@@ -31,9 +32,8 @@ impl SegmentSink for SharedSink {
         client_id: u64,
         seq: u64,
         value_bytes: &[u8],
-        fsync: bool,
     ) -> Result<(), WalError> {
-        self.mem().commit_one(stream, client_id, seq, value_bytes, fsync)
+        self.mem().commit_one(stream, client_id, seq, value_bytes)
     }
     fn fits_inline(&self, framed: usize) -> bool {
         self.mem().fits_inline(framed)
@@ -68,16 +68,10 @@ pub struct WalScenario {
 pub fn mk_scenario_with(fsync: FsyncPolicy, sink: MemSink) -> WalScenario {
     let sink = Arc::new(StdMutex::new(sink));
     let wakes = Arc::new(StdMutex::new(Vec::new()));
-    // spin_budget 0: a spin only re-checks the same state, so in the
-    // model it would just multiply identical schedules.
-    let shared = Shared::new(fsync, SharedSink(Arc::clone(&sink)), 0, 0);
+    let shared = Shared::new(fsync, SharedSink(Arc::clone(&sink)), 0);
     let log = Arc::clone(&wakes);
     assert!(shared.set_commit_waker(Box::new(move |mark| log.lock().unwrap().push(mark))));
     WalScenario { shared, sink, wakes }
-}
-
-pub fn mk_scenario(fsync: FsyncPolicy) -> WalScenario {
-    mk_scenario_with(fsync, MemSink::default())
 }
 
 /// An appender thread: appends one record and, on ACK, probes the
@@ -115,7 +109,7 @@ pub fn submitter(id: u64, values: usize) -> ThreadBody<WalScenario> {
     Box::new(move |s: &WalScenario| {
         let bytes = vec![0u8; 8 * values];
         let ticket = s.shared.submit("model", id, 1, &bytes).expect("submit must be accepted");
-        s.shared.wait_committed(ticket);
+        s.shared.wait_committed(ticket).expect("submit must be ACKed");
         assert!(s.shared.commit_mark() >= ticket, "ACK before the mark covered the ticket");
         s.shared.probe(|sink, submitted, committed| {
             assert!(committed <= submitted, "watermark must stay dense");
@@ -136,7 +130,7 @@ pub fn submitter_then_closer(id: u64, values: usize, n: u64) -> ThreadBody<WalSc
     let submit = submitter(id, values);
     Box::new(move |s: &WalScenario| {
         submit(s);
-        s.shared.wait_committed(n);
+        s.shared.wait_committed(n).expect("every ticket commits");
         s.shared.request_stop();
     })
 }
@@ -156,7 +150,7 @@ pub fn appender_then_closer(id: u64, fsyncs: bool, n: u64) -> ThreadBody<WalScen
     let append = appender(id, fsyncs);
     Box::new(move |s: &WalScenario| {
         append(s);
-        s.shared.wait_committed(n);
+        s.shared.wait_committed(n).expect("every ticket commits");
         s.shared.request_stop();
     })
 }
@@ -165,17 +159,16 @@ pub fn appender_then_closer(id: u64, fsyncs: bool, n: u64) -> ThreadBody<WalScen
 /// commit, then stops the committer so it drains and seals.
 pub fn closer(n: u64) -> ThreadBody<WalScenario> {
     Box::new(move |s: &WalScenario| {
-        s.shared.wait_committed(n);
+        s.shared.wait_committed(n).expect("every ticket commits");
         s.shared.request_stop();
     })
 }
 
-/// The end-state every schedule must agree on: `(submitted,
-/// committed, records, synced records, sealed, rotations)`. It also
+/// The end-state every schedule must agree on (an [`Outcome`]). It also
 /// checks that the commit waker ran once for every mark the
 /// queue-draining path published, with exactly that mark — the
 /// reactor's only wakeup.
-pub fn observe(n: u64) -> impl Fn(&WalScenario) -> (u64, u64, u64, u64, bool, u64) {
+pub fn observe(n: u64) -> impl Fn(&WalScenario) -> Outcome {
     move |s: &WalScenario| {
         let (submitted, committed) = s.shared.queue_snapshot();
         let m = s.sink.lock().unwrap();
@@ -190,23 +183,84 @@ pub fn observe(n: u64) -> impl Fn(&WalScenario) -> (u64, u64, u64, u64, bool, u6
     }
 }
 
+/// The end state [`observe`] reports: `(submitted, committed,
+/// records, synced records, sealed, rotations)`.
+pub type Outcome = (u64, u64, u64, u64, bool, u64);
+
+/// Explores `threads` over a fresh scenario under `fsync` (the sink
+/// rotating at `rotate_at` bytes, 0 never) at preemption bound 2 — the
+/// CHESS result: almost every concurrency bug manifests within two
+/// preemptions, and the tree stays enumerable — with the WAL's lock
+/// order declared to the checker, and every schedule's end state
+/// checked by [`observe`]`(n)`.
+fn bounded(
+    fsync: FsyncPolicy,
+    rotate_at: usize,
+    threads: Vec<ThreadBody<WalScenario>>,
+    n: u64,
+) -> Report<Outcome> {
+    declare_lock_order(&LOCK_ORDER);
+    let report = Model { preemption_bound: Some(2), ..Model::default() }.check(
+        || mk_scenario_with(fsync, MemSink { rotate_at, ..MemSink::default() }),
+        threads,
+        observe(n),
+    );
+    declare_lock_order(&[]);
+    report
+}
+
+/// One appender + committer + closer, `always` policy.
+pub fn always_single_appender() -> Report<Outcome> {
+    bounded(FsyncPolicy::Always, 0, vec![appender(1, true), committer(), closer(1)], 1)
+}
+
+/// Two racing appenders + committer under `always`: both records
+/// cross to the committer, whichever order they queue in.
+pub fn always_two_appenders() -> Report<Outcome> {
+    let threads = vec![appender_then_closer(1, true, 2), appender(2, true), committer()];
+    bounded(FsyncPolicy::Always, 0, threads, 2)
+}
+
+/// Two appenders under the `group` policy: both records travel through
+/// the queue and the committer's timed accumulation loop (`max_wait`
+/// below one wait slice ⇒ exactly one timeout window per pass), with
+/// the appenders raising the `appending` gauge across their submits.
+pub fn group_two_appenders() -> Report<Outcome> {
+    let policy = FsyncPolicy::Group { max_batch: 2, max_wait: Duration::from_nanos(1) };
+    let threads = vec![appender_then_closer(1, true, 2), appender(2, true), committer()];
+    bounded(policy, 0, threads, 2)
+}
+
+/// Two blocking appenders under `never`: each either commits inline or
+/// queues behind the other — no fsync anywhere, so `synced_records`
+/// stays 0, but liveness and the dense watermark are policy-free.
+pub fn never_two_appenders() -> Report<Outcome> {
+    let threads = vec![appender_then_closer(1, false, 2), appender(2, false), committer()];
+    bounded(FsyncPolicy::Never, 0, threads, 2)
+}
+
 /// A `never`-policy inline submit races a queued submit, the committer
-/// and a closer, at preemption bound 2; the queued submitter doubles as
-/// the closer, which keeps the tree at three threads. The sink rotates
-/// at 64 bytes:
+/// and a closer; the queued submitter doubles as the closer, which
+/// keeps the tree at three threads. The sink rotates at 64 bytes:
 /// the 1-value record (43 framed bytes) fits inline into an empty
 /// segment, the 8-value one (99 bytes) never fits and always takes the
 /// queue, so the committer commits it, rotates, and publishes — while
 /// the small record commits inline, or queues behind it, depending on
 /// the schedule. Every schedule ends with both records committed, one
 /// rotation, and a sealed sink.
-pub fn never_inline_submit_race() -> Report<(u64, u64, u64, u64, bool, u64)> {
-    declare_lock_order(&LOCK_ORDER);
-    let report = Model { preemption_bound: Some(2), ..Model::default() }.check(
-        || mk_scenario_with(FsyncPolicy::Never, MemSink { rotate_at: 64, ..MemSink::default() }),
-        vec![submitter(1, 1), submitter_then_closer(2, 8, 2), committer()],
-        observe(2),
-    );
-    declare_lock_order(&[]);
-    report
+pub fn never_inline_submit_race() -> Report<Outcome> {
+    let threads = vec![submitter(1, 1), submitter_then_closer(2, 8, 2), committer()];
+    bounded(FsyncPolicy::Never, 64, threads, 2)
 }
+
+/// A WAL scenario: explores its schedules and reports their outcomes.
+pub type Scenario = fn() -> Report<Outcome>;
+
+/// Every WAL scenario, by its census name.
+pub const WAL_SCENARIOS: [(&str, Scenario); 5] = [
+    ("wal_always_single_appender", always_single_appender),
+    ("wal_always_two_appenders", always_two_appenders),
+    ("wal_group_two_appenders", group_two_appenders),
+    ("wal_never_two_appenders", never_two_appenders),
+    ("wal_never_inline_submit_race", never_inline_submit_race),
+];

@@ -72,29 +72,17 @@ pub trait ClusterOps: Send + Sync {
     fn cluster_sum(&self, stream: &str) -> Result<ClusterSumOut, String>;
 }
 
-/// How a transport establishes tracked-batch durability before the ACK.
+/// The result of executing one frame.
 ///
-/// Both modes preserve the same invariant — an ACK is only sent once
-/// the record's group commit (write + policy fsync) has finished — they
-/// differ only in *who waits*. The ledger apply, the replication hook,
-/// and the reply bytes are identical, so the two transports produce
-/// bitwise-identical sums by construction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WalMode {
-    /// Block inside the dispatch until the commit covers the record —
-    /// the threaded server, where each connection owns a thread that
-    /// can afford to sleep on the group-commit condvar.
-    Block,
-    /// Submit the record without waiting — the epoll reactor. If the
-    /// commit mark already covers the ticket when `submit` returns (an
-    /// inline `never` commit), the reply is sent at once; otherwise the
-    /// reactor parks the *connection* (zero threads) and releases the
-    /// already-formatted reply once the committer's waker reports a
-    /// mark that covers the ticket.
-    Submit,
-}
-
-/// The result of executing one frame under a chosen [`WalMode`].
+/// Every tracked `Add` with a WAL attached is submitted without
+/// waiting; the two transports differ only in *who waits* for its
+/// ticket. The threaded server's [`RequestCore::handle_frame`] blocks
+/// its worker in [`Wal::wait_committed`]; the epoll reactor parks the
+/// connection (zero threads) and releases the already-formatted reply
+/// once the committer's waker reports a mark that covers the ticket.
+/// The ledger apply, the replication hook, and the reply bytes are
+/// identical, so the two transports produce bitwise-identical sums by
+/// construction.
 #[derive(Debug)]
 pub enum FrameOutcome {
     /// The reply is ready to send now; the bool asks the transport to
@@ -103,9 +91,10 @@ pub enum FrameOutcome {
     Done(Response, bool),
     /// The batch is applied and its WAL record queued for the
     /// committer: send `response` only once the commit mark reaches
-    /// `ticket` (or replace it with a typed error if the log crashes
-    /// first). Only tracked `Add`s under [`WalMode::Submit`] whose
-    /// ticket the mark did not yet cover at submit time produce this.
+    /// `ticket` and [`RequestCore::ack_committed`] licenses it (or
+    /// replace it with a typed error if the log crashes first). Only
+    /// tracked `Add`s whose ticket the mark did not yet cover at submit
+    /// time produce this.
     WalPending {
         /// The dense group-commit ticket to watch the mark for.
         ticket: u64,
@@ -165,31 +154,26 @@ impl RequestCore {
         self.wal.as_ref()
     }
 
-    /// Executes one client frame (either protocol version). Returns the
-    /// reply and whether the transport should initiate shutdown after
-    /// sending it. `shard_cursor` is the connection's private cursor,
-    /// advanced once per `Add`.
+    /// Executes one client frame (either protocol version), blocking
+    /// until a tracked `Add`'s WAL record commits. Returns the reply and
+    /// whether the transport should initiate shutdown after sending it.
+    /// `shard_cursor` is the connection's private cursor, advanced once
+    /// per `Add`.
     pub fn handle_frame(
         &self,
         frame: ClientFrameView<'_>,
         shard_cursor: &mut usize,
     ) -> (Response, bool) {
-        match self.handle_frame_with(frame, shard_cursor, WalMode::Block) {
-            FrameOutcome::Done(reply, stop) => (reply, stop),
-            // lint:allow(service-unwrap) -- unreachable: WalMode::Block never pends
-            FrameOutcome::WalPending { .. } => unreachable!("Block mode never pends"),
-        }
+        self.settle(self.handle_frame_with(frame, shard_cursor))
     }
 
-    /// [`handle_frame`](Self::handle_frame) under an explicit
-    /// [`WalMode`]. Under [`WalMode::Submit`] a tracked `Add` with a
-    /// WAL attached returns [`FrameOutcome::WalPending`] instead of
-    /// blocking on the group commit; everything else completes inline.
+    /// [`handle_frame`](Self::handle_frame) without the wait: a tracked
+    /// `Add` whose WAL record is not yet committed returns
+    /// [`FrameOutcome::WalPending`]; everything else completes inline.
     pub fn handle_frame_with(
         &self,
         frame: ClientFrameView<'_>,
         shard_cursor: &mut usize,
-        mode: WalMode,
     ) -> FrameOutcome {
         match frame {
             ClientFrameView::BinaryAdd(view) => {
@@ -215,83 +199,92 @@ impl RequestCore {
                 );
                 let response = Response::Added { count, deduped: !applied };
                 if view.client_id != UNTRACKED_CLIENT {
-                    return match self.commit_step(
+                    return self.commit_step(
                         view.stream,
                         view.client_id,
                         view.seq,
                         view.value_bytes(),
-                        mode,
-                    ) {
-                        Err(reply) => FrameOutcome::Done(reply, false),
-                        Ok(Some(ticket)) => FrameOutcome::WalPending { ticket, response },
-                        Ok(None) => FrameOutcome::Done(response, false),
-                    };
+                        response,
+                    );
                 }
                 FrameOutcome::Done(response, false)
             }
-            ClientFrameView::Json(req) => self.handle_request_with(req, shard_cursor, mode),
+            ClientFrameView::Json(req) => self.handle_request_with(req, shard_cursor),
         }
     }
 
-    /// Makes a tracked batch durable if a WAL is attached: appends its
-    /// record and blocks until the committer's group commit (write +
-    /// policy fsync) covers it. Called *after* the local apply and
-    /// *before* the ACK — so "ACKed ⇒ durable" holds, and a batch that
-    /// committed but died before the ACK is merely re-sent by the client
-    /// and absorbed by the dedup watermark on replay. Replayed batches
-    /// (`applied == false`) are appended too: the retry that reached us
+    /// Resolves a [`FrameOutcome::WalPending`] by blocking on the one
+    /// ticket wait, [`Wal::wait_committed`] — the threaded transport's
+    /// half of the WAL protocol.
+    fn settle(&self, outcome: FrameOutcome) -> (Response, bool) {
+        match outcome {
+            FrameOutcome::Done(reply, stop) => (reply, stop),
+            FrameOutcome::WalPending { ticket, response } => {
+                // Only an attached WAL issues tickets.
+                let waited = self.wal.as_ref().map_or(Ok(()), |wal| wal.wait_committed(ticket));
+                let reply = match waited {
+                    Ok(()) => self.ack_committed().err().unwrap_or(response),
+                    Err(e) => refuse(format!("wal append failed: {e}")),
+                };
+                (reply, false)
+            }
+        }
+    }
+
+    /// Logs a tracked batch if a WAL is attached: submits its record
+    /// and, unless the commit mark already covers the ticket (an inline
+    /// `never` commit), returns [`FrameOutcome::WalPending`] so the
+    /// transport holds `response` until the commit (write + policy
+    /// fsync) covers it. Called *after* the local apply and *before*
+    /// the ACK — so "ACKed ⇒ durable" holds, and a batch that committed
+    /// but died before the ACK is merely re-sent by the client and
+    /// absorbed by the dedup watermark on replay. Replayed batches
+    /// (`applied == false`) are logged too: the retry that reached us
     /// may be the first copy to survive a crash.
     ///
-    /// `Err` is the refusal reply; the client treats it as a typed
-    /// server error and does not retry, exactly like a replication
-    /// refusal.
-    ///
-    /// The `server.crash.before_commit` / `server.crash.after_commit`
-    /// seams poison the WAL on either side of the append, modelling a
-    /// process kill between apply and commit (batch lost, never ACKed)
-    /// and between commit and ACK (batch durable, never ACKed).
-    /// Under [`WalMode::Block`] this is exactly the old blocking
-    /// `commit_durable` (returns `Ok(None)` once the commit covers the
-    /// record); under [`WalMode::Submit`] the record is submitted and,
-    /// unless the commit mark already covers it (an inline `never`
-    /// commit, also `Ok(None)`), its ticket returned as
-    /// `Ok(Some(ticket))` — the caller must hold the ACK until the
-    /// commit mark covers it.
+    /// A refusal is a typed server error the client does not retry,
+    /// exactly like a replication refusal. The
+    /// `server.crash.before_commit` seam poisons the WAL before the
+    /// submit, modelling a process kill between apply and commit (batch
+    /// lost, never ACKed).
     fn commit_step(
         &self,
         stream: &str,
         client_id: u64,
         seq: u64,
         value_bytes: &[u8],
-        mode: WalMode,
-    ) -> Result<Option<u64>, Response> {
-        let Some(wal) = &self.wal else { return Ok(None) };
-        let refuse = |message: String| Response::Error {
-            code: ErrorCode::Internal,
-            message,
-        };
+        response: Response,
+    ) -> FrameOutcome {
+        let Some(wal) = &self.wal else { return FrameOutcome::Done(response, false) };
         if oisum_faults::check("server.crash.before_commit").is_some() {
             wal.crash();
-            return Err(refuse("injected crash before group commit".to_owned()));
+            let refusal = refuse("injected crash before group commit".to_owned());
+            return FrameOutcome::Done(refusal, false);
         }
-        let ticket = match mode {
-            WalMode::Block => {
-                wal.append(stream, client_id, seq, value_bytes)
-                    .map_err(|e| refuse(format!("wal append failed: {e}")))?;
-                None
-            }
-            WalMode::Submit => {
-                let ticket = wal
-                    .submit(stream, client_id, seq, value_bytes)
-                    .map_err(|e| refuse(format!("wal submit failed: {e}")))?;
-                (wal.commit_mark() < ticket).then_some(ticket)
-            }
+        let ticket = match wal.submit(stream, client_id, seq, value_bytes) {
+            Ok(ticket) => ticket,
+            Err(e) => return FrameOutcome::Done(refuse(format!("wal submit failed: {e}")), false),
         };
+        if wal.commit_mark() < ticket {
+            return FrameOutcome::WalPending { ticket, response };
+        }
+        FrameOutcome::Done(self.ack_committed().err().unwrap_or(response), false)
+    }
+
+    /// The one place a committed WAL ticket becomes an ACK, on both
+    /// transports: every tracked `Add` whose record the commit mark
+    /// covers passes here before its reply may leave. `Err` is the
+    /// refusal to send instead. The `server.crash.after_commit` seam
+    /// poisons the WAL here, modelling a process kill between commit
+    /// and ACK (batch durable, never ACKed).
+    pub fn ack_committed(&self) -> Result<(), Response> {
         if oisum_faults::check("server.crash.after_commit").is_some() {
-            wal.crash();
+            if let Some(wal) = &self.wal {
+                wal.crash();
+            }
             return Err(refuse("injected crash after group commit".to_owned()));
         }
-        Ok(ticket)
+        Ok(())
     }
 
     /// Replicates a tracked batch if a cluster is attached; `Err` is the
@@ -312,24 +305,15 @@ impl RequestCore {
             })
     }
 
-    /// Executes one JSON request.
+    /// Executes one JSON request, blocking until a tracked `Add`'s WAL
+    /// record commits.
     pub fn handle_request(&self, req: Request, shard_cursor: &mut usize) -> (Response, bool) {
-        match self.handle_request_with(req, shard_cursor, WalMode::Block) {
-            FrameOutcome::Done(reply, stop) => (reply, stop),
-            // lint:allow(service-unwrap) -- unreachable: WalMode::Block never pends
-            FrameOutcome::WalPending { .. } => unreachable!("Block mode never pends"),
-        }
+        self.settle(self.handle_request_with(req, shard_cursor))
     }
 
-    /// [`handle_request`](Self::handle_request) under an explicit
-    /// [`WalMode`]; only a tracked `Add` can return
-    /// [`FrameOutcome::WalPending`].
-    pub fn handle_request_with(
-        &self,
-        req: Request,
-        shard_cursor: &mut usize,
-        mode: WalMode,
-    ) -> FrameOutcome {
+    /// [`handle_request`](Self::handle_request) without the wait; only
+    /// a tracked `Add` can return [`FrameOutcome::WalPending`].
+    pub fn handle_request_with(&self, req: Request, shard_cursor: &mut usize) -> FrameOutcome {
         let ledger = &self.ledger;
         match req {
             Request::Add { stream, values, client_id, seq } => {
@@ -356,11 +340,7 @@ impl RequestCore {
                         let (count, applied) =
                             ledger.add_batch_dedup(&stream, hint, id, seq, values.iter().copied());
                         let response = Response::Added { count, deduped: !applied };
-                        match self.commit_step(&stream, id, seq, &bytes, mode) {
-                            Err(reply) => FrameOutcome::Done(reply, false),
-                            Ok(Some(ticket)) => FrameOutcome::WalPending { ticket, response },
-                            Ok(None) => FrameOutcome::Done(response, false),
-                        }
+                        self.commit_step(&stream, id, seq, &bytes, response)
                     }
                     _ => FrameOutcome::Done(
                         Response::Added {
@@ -495,6 +475,11 @@ pub fn local_contribution(ledger: &ShardedLedger, stream: &str) -> ClusterSumOut
             holders: 0,
         },
     }
+}
+
+/// A typed `internal` refusal: the batch is not ACKed.
+fn refuse(message: String) -> Response {
+    Response::Error { code: ErrorCode::Internal, message }
 }
 
 fn unknown_stream(stream: &str) -> Response {

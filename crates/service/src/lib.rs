@@ -85,7 +85,7 @@ pub mod wal;
 pub type ServiceHp = oisum_core::Hp6x3;
 
 pub use client::{Client, ClientConfig, ClientError, ClusterSumReply, SumReply};
-pub use dispatch::{ClusterOps, ClusterSumOut, FrameOutcome, RequestCore, WalMode};
+pub use dispatch::{ClusterOps, ClusterSumOut, FrameOutcome, RequestCore};
 pub use ledger::{LedgerStats, ShardedLedger, StreamStats};
 pub use reactor::raise_nofile_limit;
 pub use recovery::{recover, RecoveryReport, TornTail};

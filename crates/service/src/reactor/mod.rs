@@ -12,16 +12,19 @@
 //!
 //! ## WAL parking
 //!
-//! A tracked `Add` under the reactor uses
-//! [`WalMode::Submit`](crate::dispatch::WalMode). Under fsync `never`
-//! an uncontended submit commits inline on the reactor thread and the
-//! reply goes out at once, with no thread handoff. Otherwise the record
-//! is queued for the group committer and the connection *parks*
-//! holding its already-formatted reply — no thread waits. The reactor
-//! registers its eventfd ([`sys::EventFd`]) as the WAL's commit waker:
-//! the committer signals it after every mark it publishes (and on a
-//! crash), and the reactor then reads the mark and releases, in ticket
-//! order, every reply it licenses. The fsync amortizes over everything
+//! A tracked `Add` is submitted to the WAL like on every transport
+//! ([`RequestCore::handle_frame_with`](crate::dispatch::RequestCore::handle_frame_with));
+//! only the await differs. Under fsync `never` an uncontended submit
+//! commits inline on the reactor thread and the reply goes out at
+//! once, with no thread handoff. Otherwise the record is queued for the
+//! group committer and the connection *parks* holding its
+//! already-formatted reply — no thread waits. The reactor registers its
+//! eventfd ([`sys::EventFd`]) as the WAL's commit waker: the committer
+//! signals it after every mark it publishes (and on a crash), and the
+//! reactor then reads the mark and releases, in ticket order, every
+//! reply it licenses (through
+//! [`RequestCore::ack_committed`](crate::dispatch::RequestCore::ack_committed),
+//! the same ACK gate the threaded server passes). The fsync amortizes over everything
 //! a readiness burst submitted — which is exactly the group-commit
 //! design point the thread-per-connection transport cannot reach (its
 //! groups are capped by thread count).
@@ -44,7 +47,7 @@ pub(crate) mod sys;
 
 mod conn;
 
-use crate::dispatch::{FrameOutcome, RequestCore, WalMode};
+use crate::dispatch::{FrameOutcome, RequestCore};
 use crate::proto::{frame_into, parse_client_frame, ErrorCode, Response};
 use crate::snapshot;
 use conn::{BufPool, Conn, Fill, HIGH_WATER, LOW_WATER};
@@ -331,10 +334,7 @@ impl Reactor {
     fn dispatch_frame(&mut self, idx: usize, magic: [u8; 4], len: usize) {
         let Some(conn) = self.conns[idx].as_mut() else { return };
         let outcome = match parse_client_frame(magic, &conn.read_buf[..len]) {
-            Ok(view) => {
-                self.core
-                    .handle_frame_with(view, &mut conn.shard_cursor, WalMode::Submit)
-            }
+            Ok(view) => self.core.handle_frame_with(view, &mut conn.shard_cursor),
             Err(e) => {
                 conn.recycle_read_buf(&mut self.pool);
                 let reply = Response::Error { code: ErrorCode::BadRequest, message: e.to_string() };
@@ -402,8 +402,9 @@ impl Reactor {
     }
 
     /// Releases every parked reply whose ticket the WAL's commit mark
-    /// covers; on a WAL crash, fails the uncommitted ones
-    /// with a typed error instead (the log will never advance again).
+    /// covers, once [`RequestCore::ack_committed`] licenses it; on a
+    /// WAL crash, fails the uncommitted ones with a typed error instead
+    /// (the log will never advance again).
     /// The heap pops tickets in ascending order and each connection's
     /// queue is ascending, so replies rejoin `out` in request order —
     /// error replies included.
@@ -427,19 +428,23 @@ impl Reactor {
             }
             // lint:allow(service-unwrap) -- infallible: the front's presence and ticket were checked two lines up
             let (_, buf) = conn.parked.pop_front().expect("front checked above");
-            if crashed && ticket > mark {
+            let refusal = if crashed && ticket > mark {
                 // The record never became durable: refuse instead of
                 // ACKing, exactly like a blocking append error.
-                self.pool.put(buf);
                 let detail = self
                     .core
                     .wal()
                     .and_then(|w| w.crash_detail())
                     .unwrap_or_else(|| "wal crashed".to_owned());
-                let reply = Response::Error {
+                Some(Response::Error {
                     code: ErrorCode::Internal,
                     message: format!("wal append failed: {detail}"),
-                };
+                })
+            } else {
+                self.core.ack_committed().err()
+            };
+            if let Some(reply) = refusal {
+                self.pool.put(buf);
                 self.queue_reply(idx, &reply);
             } else if conn.out.capacity() == 0 {
                 conn.out = buf;

@@ -50,30 +50,26 @@
 //!
 //! ## Group commit
 //!
-//! [`Wal::append`] encodes the record, enqueues it, and returns only
-//! once the group containing it is written (and synced, per
-//! [`FsyncPolicy`]). Under `group(..)` a dedicated committer thread
-//! accumulates the group so one fsync covers many appenders; under
-//! `always`/`never` there is nothing to accumulate, so the appender
-//! that wins the segment lock commits the whole queue inline on its
-//! own thread — same file discipline, two condvar handoffs cheaper.
-//! When that appender also finds the queue empty (the common case at
-//! any sane load), its record is a complete group of one and is framed
-//! *directly into the segment*: no `Vec`, no queue round-trip, no
-//! wakeups. The server sends an `Added` ACK only after `append`
-//! returns, which is the whole contract.
+//! There is one append protocol: [`Wal::submit`] issues the record a
+//! dense ticket, and the ACK waits until [`Wal::commit_mark`] covers
+//! it. Under `never` a submit that wins the segment lock over an empty
+//! queue, with a record that fits below the rotation threshold, is a
+//! complete group of one: it is framed *directly into the segment* (no
+//! `Vec`, no queue round-trip, no wakeups) and the ticket comes back
+//! already covered. Every other record is queued for a dedicated
+//! committer thread, which therefore performs every fsync and every
+//! segment seal, create and pre-fault; under `group(..)` it
+//! accumulates the group so one fsync covers many appenders.
 //!
-//! [`Wal::submit`] is the non-blocking twin for the epoll reactor: it
-//! returns a ticket, and the ACK waits until
-//! [`Wal::commit_mark`] covers it. Under `never` a submit that wins the
-//! segment lock over an empty queue, with a record that fits below the
-//! rotation threshold, takes the same group-of-one inline commit and
-//! returns a ticket the mark already covers; every other submit is
-//! queued for the committer, which therefore still performs every
-//! fsync and every segment seal, create and pre-fault. After each group
-//! it publishes, the committer calls the registered commit waker
+//! The two transports differ only in how they await the ticket.
+//! [`Wal::append`] is `submit` plus one counted wait
+//! ([`Wal::wait_committed`]) — the threaded server's worker sleeps
+//! there. The epoll reactor parks the connection instead: after each
+//! group it publishes, the committer calls the registered commit waker
 //! ([`Wal::set_commit_waker`]) so the reactor learns of the new mark
-//! without a thread parked on it.
+//! without a thread parked on it. Either way the server sends an
+//! `Added` ACK only once the mark covers the ticket, which is the whole
+//! contract.
 //!
 //! ## Mapped segments
 //!
@@ -495,15 +491,14 @@ struct CommitQueue {
 /// holding the `segment` lock, so implementations need no internal
 /// synchronization.
 pub trait SegmentSink: Send + 'static {
-    /// Frames and commits a single record — the inline fast path for a
-    /// group of one. `fsync` follows the policy.
+    /// Frames and commits a single record without an fsync — a `never`
+    /// submit's inline group of one.
     fn commit_one(
         &mut self,
         stream: &str,
         client_id: u64,
         seq: u64,
         value_bytes: &[u8],
-        fsync: bool,
     ) -> Result<(), WalError>;
     /// True when a record of `framed` bytes can be committed without
     /// reaching the rotation threshold, so an inline commit of it never
@@ -560,15 +555,11 @@ impl SegmentSink for MemSink {
         client_id: u64,
         seq: u64,
         value_bytes: &[u8],
-        fsync: bool,
     ) -> Result<(), WalError> {
         let rec = encode_record(stream, client_id, seq, value_bytes)?;
         self.bytes.extend_from_slice(&rec);
         self.segment_len += rec.len();
         self.records += 1;
-        if fsync {
-            self.synced_records = self.records;
-        }
         Ok(())
     }
 
@@ -647,42 +638,37 @@ pub struct Shared<S: SyncShimLike, G: SegmentSink> {
     /// Index of the segment currently being appended to — the GC
     /// boundary readers snapshot before persisting the ledger.
     active: S::Atomic,
-    /// Appenders that have entered [`Wal::append`] but not yet enqueued
-    /// their record. The committer's group accumulation waits only
-    /// while this is nonzero: appenders already *in* the queue are
-    /// blocked on the commit itself and cannot contribute more, so
-    /// waiting for them is pure added latency (a 2 ms policy wait per
-    /// group once throttled a synchronous-client workload ~35x).
+    /// Blocking `group(..)` appenders that have entered [`Wal::append`]
+    /// but not yet enqueued their record. The committer's group
+    /// accumulation waits only while this is nonzero: appenders already
+    /// *in* the queue are blocked on the commit itself and cannot
+    /// contribute more, so waiting for them is pure added latency (a
+    /// 2 ms policy wait per group once throttled a synchronous-client
+    /// workload ~35x).
     appending: S::Atomic,
-    /// The sink being appended to, shared so the inline policies
-    /// (`always`/`never`) can commit on the appender's own thread —
-    /// two condvar handoffs per batch otherwise. Locked BEFORE `state`
-    /// whenever both are held ([`LOCK_ORDER`]); the queue is only
-    /// drained while this is held, which keeps file order equal to
-    /// enqueue order no matter which thread commits. `None` once
+    /// The sink being appended to, shared so a `never` submit can
+    /// commit its group of one on its own thread — a thread handoff per
+    /// batch otherwise. Locked BEFORE `state` whenever both are held
+    /// ([`LOCK_ORDER`]); the queue is only drained while this is held,
+    /// which keeps file order equal to enqueue order. `None` once
     /// sealed on close.
     segment: S::Mutex<Option<G>>,
-    /// Mirror of `CommitQueue::committed`, so the inline-commit fast
-    /// path can watch for its ticket without taking the state lock.
-    /// Only ever written while the state lock is held, so it is
-    /// monotonic and never ahead of the real watermark.
+    /// Mirror of `CommitQueue::committed`, so a reactor can check its
+    /// parked tickets without taking the state lock. Only ever written
+    /// while the state lock is held, so it is monotonic and never ahead
+    /// of the real watermark.
     commit_mark: S::Atomic,
-    /// Threads parked on `done`, so the uncontended inline commit can
-    /// skip the futex wake entirely (~160 ns per batch with nobody
-    /// listening). See [`Shared::notify_done`] for why no wakeup is
-    /// lost.
+    /// Threads parked on `done`, so a commit nobody waits for (every
+    /// inline `never` commit, every reactor-only group) can skip the
+    /// futex wake entirely (~160 ns per batch with nobody listening).
+    /// See [`Shared::notify_done`] for why no wakeup is lost.
     done_waiters: S::Atomic,
     /// Non-empty groups written (and, per policy, fsynced) so far.
     /// `committed / groups` is the realized amortization — the number
     /// every group-commit knob exists to raise — so benches read it
     /// rather than guess from throughput deltas.
     groups: S::Atomic,
-    /// How many times the contended inline path spins on the segment
-    /// lock before parking. 200 in production; the model scenarios use
-    /// 0 — a spin is invisible to correctness (it re-checks the same
-    /// two conditions) and only multiplies the schedule tree.
-    spin_budget: u32,
-    /// Called after each mark [`commit_locked`](Self::commit_locked)
+    /// Called after each mark [`commit_pending`](Self::commit_pending)
     /// publishes and on poison; see [`CommitWaker`]. Set at most once
     /// (a log serves one reactor, whose exit tail closes it), and read
     /// lock-free, so it adds no blocking point to the protocol.
@@ -691,9 +677,8 @@ pub struct Shared<S: SyncShimLike, G: SegmentSink> {
 
 impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
     /// A fresh protocol instance over `sink`. `active_index` seeds the
-    /// GC-boundary gauge; `spin_budget` tunes the contended inline
-    /// path (see the field).
-    pub fn new(fsync: FsyncPolicy, sink: G, active_index: u64, spin_budget: u32) -> Self {
+    /// GC-boundary gauge.
+    pub fn new(fsync: FsyncPolicy, sink: G, active_index: u64) -> Self {
         // Ordering witness: the labels handed to the shim must match
         // the declared order the lint and the model checker enforce.
         debug_assert_eq!(LOCK_ORDER, ["segment", "state"]);
@@ -717,7 +702,6 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
             commit_mark: S::Atomic::new(0),
             done_waiters: S::Atomic::new(0),
             groups: S::Atomic::new(0),
-            spin_budget,
             commit_waker: std::sync::OnceLock::new(),
         }
     }
@@ -773,19 +757,20 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
         s
     }
 
-    /// Wakes `done` waiters — unless there are none, which on the
-    /// inline-commit fast path is nearly always. No wakeup is lost *for
-    /// a waiter whose predicate this notifier's update satisfies*: the
-    /// waiter increments the count before atomically releasing the
-    /// state lock inside `wait`, and a notifier updates the waited-on
-    /// predicate (`committed`/`crashed`) while *holding* that lock
-    /// before loading the count here. So either the waiter saw the
-    /// updated predicate and never parked, or the notifier's load —
-    /// after its predicate write's lock release — sees the increment
-    /// and notifies. A waiter whose ticket this commit does *not* cover
-    /// may miss the skip-guarded wake entirely; that is why the
-    /// contended path hands its record to the committer before parking
-    /// (see `append_contended`).
+    /// Wakes `done` waiters — unless there are none, which for an
+    /// inline `never` commit or a reactor-only group is nearly always.
+    /// No wakeup is lost *for a waiter whose predicate this notifier's
+    /// update satisfies*: the waiter increments the count before
+    /// atomically releasing the state lock inside `wait`, and a notifier
+    /// updates the waited-on predicate (`committed`/`crashed`) while
+    /// *holding* that lock before loading the count here. So either the
+    /// waiter saw the updated predicate and never parked, or the
+    /// notifier's load — after its predicate write's lock release —
+    /// sees the increment and notifies. A waiter whose ticket this
+    /// commit does *not* cover may miss the skip-guarded wake entirely,
+    /// which is harmless: its record is queued, only the committer
+    /// drains the queue, and the commit that does cover it notifies
+    /// after publishing, under the same argument.
     fn notify_done(&self) {
         // ORDERING: SeqCst — pairs with the fetch_add in wait_done; the
         // state-lock critical sections give the visibility argument
@@ -796,8 +781,14 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
     }
 
     /// Appends one tracked batch and blocks until its group commits
-    /// (written and, per policy, fsynced). `Ok(())` is the license to
-    /// ACK; any `Err` means the batch must be refused.
+    /// (written and, per policy, fsynced): [`submit`](Self::submit)
+    /// plus one [`wait_committed`](Self::wait_committed). `Ok(())` is
+    /// the license to ACK; any `Err` means the batch must be refused.
+    ///
+    /// Under `group(..)` the appender raises the `appending` gauge
+    /// across its submit, so the committer's accumulation window holds
+    /// the group open for a record that is on its way, and wakes the
+    /// committer once the record is in (see `Shared::appending`).
     pub fn append(
         &self,
         stream: &str,
@@ -805,312 +796,55 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
         seq: u64,
         value_bytes: &[u8],
     ) -> Result<(), WalError> {
-        if matches!(self.fsync, FsyncPolicy::Group { .. }) {
-            return self.append_grouped(stream, client_id, seq, value_bytes);
+        let grouped = matches!(self.fsync, FsyncPolicy::Group { .. });
+        if grouped {
+            // ORDERING: Relaxed — an advisory batching gauge; a stale
+            // read only changes how long a group waits, never what
+            // commits.
+            self.appending.fetch_add(1, Ordering::Relaxed);
         }
-        // `always`/`never` have nothing to accumulate, so an appender
-        // that wins the segment lock outright commits on its own
-        // thread — framed straight into the mapped segment, with no
-        // queue round-trip and no condvar handoff. Losing the lock
-        // means another commit is in flight; join the queue instead.
-        if let Some(mut seg) = S::try_lock(&self.segment) {
-            let out = self.append_won(&mut seg, stream, client_id, seq, value_bytes);
-            // Release before notifying (see commit_pending): a woken
-            // waiter must find the lock winnable.
-            drop(seg);
-            self.notify_done();
-            return out;
+        let submitted = self.submit(stream, client_id, seq, value_bytes);
+        if grouped {
+            // ORDERING: Relaxed — see above; paired with the fetch_add.
+            self.appending.fetch_sub(1, Ordering::Relaxed);
+            S::notify_one(&self.work);
         }
-        self.append_contended(stream, client_id, seq, value_bytes)
+        self.wait_committed(submitted?)
     }
 
-    /// `group(..)` append: timed accumulation lives on the committer
-    /// thread; hand the record over and sleep until the group's fsync
-    /// lands.
-    fn append_grouped(
-        &self,
-        stream: &str,
-        client_id: u64,
-        seq: u64,
-        value_bytes: &[u8],
-    ) -> Result<(), WalError> {
-        // Raised for the whole encode-to-enqueue window so the
-        // committer's group accumulation knows one more record is
-        // genuinely on its way (see `Shared::appending`).
-        // ORDERING: Relaxed — an advisory batching gauge; a stale read
-        // only changes how long a group waits, never what commits.
-        self.appending.fetch_add(1, Ordering::Relaxed);
-        let enqueued = (|| {
-            let rec = encode_record(stream, client_id, seq, value_bytes)?;
-            let mut s = self.lock();
-            if let Some(detail) = &s.crashed {
-                return Err(WalError::Crashed(detail.clone()));
-            }
-            if s.stopping {
-                return Err(WalError::Closed);
-            }
-            s.queue.push_back(rec);
-            s.submitted += 1;
-            let ticket = s.submitted;
-            Ok((s, ticket))
-        })();
-        // ORDERING: Relaxed — see above; paired with the fetch_add.
-        self.appending.fetch_sub(1, Ordering::Relaxed);
-        let (mut s, ticket) = enqueued?;
-        S::notify_one(&self.work);
+    /// Blocks until the committed watermark covers `ticket` or the log
+    /// crashes, and returns the verdict: `Ok(())` licenses the ACK of
+    /// the record `ticket` was issued for, `Err` refuses it. This is the
+    /// one wait on a ticket — a counted wait on `done` (see
+    /// `notify_done`) — behind [`append`](Self::append), the
+    /// threaded server's pending replies, and the model scenarios'
+    /// closers.
+    pub fn wait_committed(&self, ticket: u64) -> Result<(), WalError> {
+        let mut s = self.lock();
         while s.committed < ticket && s.crashed.is_none() {
             s = self.wait_done(s);
         }
         verdict::<S>(s, ticket)
     }
 
-    /// Inline append holding the segment lock. With an empty queue the
-    /// record is a complete group of one and commits with zero copies
-    /// (`commit_one`); with a non-empty queue, committing only ours
-    /// would advance the dense watermark out of ticket order, so the
-    /// record joins the queue and the whole lot drains as one group.
-    // lint:holds(segment)
-    fn append_won(
-        &self,
-        seg: &mut Option<G>,
-        stream: &str,
-        client_id: u64,
-        seq: u64,
-        value_bytes: &[u8],
-    ) -> Result<(), WalError> {
-        // Validation first: a ticket, once issued, must eventually be
-        // covered by `committed` (the watermark is dense), so nothing
-        // refusable may happen between ticket issue and commit.
-        checked_payload_len(stream, value_bytes)?;
-        let mut s = self.lock();
-        if let Some(detail) = &s.crashed {
-            return Err(WalError::Crashed(detail.clone()));
-        }
-        if s.stopping {
-            return Err(WalError::Closed);
-        }
-        let Some(segment) = seg.as_mut() else { return Err(WalError::Closed) };
-        if !s.queue.is_empty() {
-            let rec = encode_record(stream, client_id, seq, value_bytes)?;
-            s.queue.push_back(rec);
-            s.submitted += 1;
-            let ticket = s.submitted;
-            drop(s);
-            self.commit_locked(seg);
-            return verdict::<S>(self.lock(), ticket);
-        }
-        s.submitted += 1;
-        let ticket = s.submitted;
-        drop(s);
-        let fsync = !matches!(self.fsync, FsyncPolicy::Never);
-        let result = segment
-            .commit_one(stream, client_id, seq, value_bytes, fsync)
-            .and_then(|()| segment.rotate_if_full());
-        self.finish_inline(segment, ticket, result)
-    }
-
-    /// `never`-policy inline submit holding the segment lock: with an
-    /// empty queue and a record that fits below the rotation threshold,
-    /// the record is a complete group of one, framed straight into the
-    /// segment with no fsync (the `never` licence `append_won` already
-    /// has). Returns `None` — having issued no ticket — whenever the
-    /// record must take the queue instead: a refusable record (the
-    /// queue path reports the refusal), a crashed or stopping log, a
-    /// non-empty queue (committing ours first would break the dense
-    /// watermark), or a record that would make the segment rotate
-    /// (sealing and creating segments stay on the committer thread).
-    // lint:holds(segment)
-    fn submit_won(
-        &self,
-        seg: &mut Option<G>,
-        stream: &str,
-        client_id: u64,
-        seq: u64,
-        value_bytes: &[u8],
-    ) -> Option<Result<u64, WalError>> {
-        let payload_len = checked_payload_len(stream, value_bytes).ok()?;
-        let segment = seg.as_mut()?;
-        if !segment.fits_inline(RECORD_OVERHEAD + payload_len) {
-            return None;
-        }
-        let mut s = self.lock();
-        if s.crashed.is_some() || s.stopping || !s.queue.is_empty() {
-            return None;
-        }
-        s.submitted += 1;
-        let ticket = s.submitted;
-        drop(s);
-        let result = segment.commit_one(stream, client_id, seq, value_bytes, false);
-        Some(self.finish_inline(segment, ticket, result).map(|()| ticket))
-    }
-
-    /// Publishes (or, on `Err`, poisons) an inline group of one whose
-    /// `ticket` was issued over an empty queue. The segment lock is
-    /// still held, so no other commit can have moved the watermark:
-    /// `ticket` is exactly the next one.
-    // lint:holds(segment)
-    fn finish_inline(
-        &self,
-        segment: &G,
-        ticket: u64,
-        result: Result<(), WalError>,
-    ) -> Result<(), WalError> {
-        // ORDERING: Relaxed — monotonic GC boundary, as in commit_locked.
-        self.active.store(segment.index(), Ordering::Relaxed);
-        match result {
-            Ok(()) => {
-                let mut s = self.lock();
-                debug_assert_eq!(
-                    s.committed + 1,
-                    ticket,
-                    "empty queue means all prior tickets committed"
-                );
-                s.committed = ticket;
-                // ORDERING: Relaxed — a statistics gauge, as in
-                // commit_locked: an inline commit is a group of one.
-                self.groups.fetch_add(1, Ordering::Relaxed);
-                // ORDERING: Release — publishes the durable watermark
-                // to the contended path's Acquire load; written only
-                // under the state lock, so it stays monotonic.
-                self.commit_mark.store(ticket, Ordering::Release);
-                Ok(())
-            }
-            Err(e) => {
-                let detail = e.to_string();
-                self.poison(detail.clone());
-                Err(WalError::Crashed(detail))
-            }
-        }
-    }
-
-    /// `always`/`never` append while another commit holds the segment
-    /// lock: enqueue, then alternate between watching the commit mark
-    /// (the in-flight group usually carries our record out), retrying
-    /// the lock to commit the queue ourselves, and — only when the
-    /// lock stays contended — sleeping on the condvar.
-    fn append_contended(
-        &self,
-        stream: &str,
-        client_id: u64,
-        seq: u64,
-        value_bytes: &[u8],
-    ) -> Result<(), WalError> {
-        let rec = encode_record(stream, client_id, seq, value_bytes)?;
-        let mut s = self.lock();
-        if let Some(detail) = &s.crashed {
-            return Err(WalError::Crashed(detail.clone()));
-        }
-        if s.stopping {
-            return Err(WalError::Closed);
-        }
-        s.queue.push_back(rec);
-        s.submitted += 1;
-        let ticket = s.submitted;
-        drop(s);
-        let mut spins = 0u32;
-        let s = loop {
-            // ORDERING: Acquire — pairs with the Release publish in
-            // commit_locked and the direct path; a mark covering our
-            // ticket means the group's write (and policy fsync)
-            // finished.
-            if self.commit_mark.load(Ordering::Acquire) >= ticket {
-                return Ok(());
-            }
-            if let Some(mut seg) = S::try_lock(&self.segment) {
-                let alive = self.commit_locked(&mut seg);
-                // Release before notifying (see commit_pending): a
-                // woken waiter must find the lock winnable.
-                drop(seg);
-                self.notify_done();
-                if !alive {
-                    // Poisoned: the mark will never cover our ticket;
-                    // spinning would livelock. Fall through to the
-                    // verdict with the crash detail.
-                    break self.lock();
-                }
-                spins = 0;
-                continue;
-            }
-            if spins < self.spin_budget {
-                spins += 1;
-                std::hint::spin_loop();
-                continue;
-            }
-            spins = 0;
-            let mut s = self.lock();
-            if s.crashed.is_some() {
-                break s;
-            }
-            if s.committed < ticket {
-                // Hand the record to the committer before parking. The
-                // in-flight commit we lost the segment lock to may have
-                // drained the queue *before* we enqueued: its watermark
-                // then never covers our ticket, and its skip-guarded
-                // notify may race our park and miss us — after which
-                // nothing would drain the queue until the next append,
-                // flush, or close (the model checker catches exactly
-                // this stranding as a lost wakeup). The committer's
-                // predicate loop re-checks the queue under the state
-                // lock, so this wake cannot be lost, whatever the
-                // interleaving.
-                S::notify_one(&self.work);
-                s = self.wait_done(s);
-            }
-            if s.committed >= ticket || s.crashed.is_some() {
-                break s;
-            }
-            drop(s);
-        };
-        verdict::<S>(s, ticket)
-    }
-
-    /// Blocks until everything submitted so far has committed (or the
-    /// log crashed). Does not seal or stop anything.
-    pub fn flush(&self) -> Result<(), WalError> {
-        let mut s = self.lock();
-        let target = s.submitted;
-        S::notify_one(&self.work);
-        while s.committed < target && s.crashed.is_none() {
-            s = self.wait_done(s);
-        }
-        match (&s.crashed, s.committed >= target) {
-            (_, true) => Ok(()),
-            (Some(detail), false) => Err(WalError::Crashed(detail.clone())),
-            (None, false) => Ok(()),
-        }
-    }
-
-    /// Blocks until the committed watermark reaches `target` or the log
-    /// crashes — a counted wait on `done`, like the append paths. The
-    /// model scenarios' closer thread uses this to stop the committer
-    /// only after every appender's ticket is durable (polling would
-    /// give the explorer an unbounded schedule tree).
-    pub fn wait_committed(&self, target: u64) {
-        let mut s = self.lock();
-        while s.committed < target && s.crashed.is_none() {
-            s = self.wait_done(s);
-        }
-    }
-
     /// Logs one tracked batch *without waiting* for a committer,
-    /// returning the batch's dense ticket. The caller parks elsewhere
-    /// (an epoll reactor parks the connection, not a thread) and learns
-    /// of completion by watching [`commit_mark`](Self::commit_mark):
-    /// once the mark reaches the ticket, the group's write — and, per
-    /// policy, its fsync — has finished, and the ACK is licensed
-    /// exactly as if a blocking [`append`](Self::append) had returned
-    /// `Ok`. The committer calls the [`CommitWaker`] after every mark
-    /// it publishes, so a watcher never has to block on the log.
+    /// returning the batch's dense ticket — the only place a ticket is
+    /// issued. Once [`commit_mark`](Self::commit_mark) reaches the
+    /// ticket, the group's write — and, per policy, its fsync — has
+    /// finished, and the ACK is licensed. A thread that can spare
+    /// itself awaits that in [`wait_committed`](Self::wait_committed);
+    /// an epoll reactor parks the connection instead and is woken by
+    /// the [`CommitWaker`] the committer calls after every mark it
+    /// publishes.
     ///
     /// Under `never` there is no fsync to wait for, so a submit that
-    /// wins the segment `try_lock` commits inline like `append_won`
-    /// (see `submit_won`) and returns a ticket the mark already
-    /// covers: no thread handoff at all. Every other submit — any
-    /// `always`/`group` submit, a lost `try_lock`, a non-empty queue,
-    /// or a record that would reach the rotation threshold — is
-    /// enqueued for the committer.
+    /// wins the segment `try_lock` may commit inline (see `submit_won`)
+    /// and return a ticket the mark already covers: no thread handoff
+    /// at all. Every other submit — any `always`/`group` submit, a lost
+    /// `try_lock`, a non-empty queue, or a record that would reach the
+    /// rotation threshold — is enqueued for the committer.
     ///
-    /// Unlike `append`, `submit` never raises the `appending` gauge: the
+    /// `submit` itself never raises the `appending` gauge: a reactor's
     /// submitter is not blocked on this record, so there is no latency
     /// to hide by holding a group open for it. The committer therefore
     /// commits whatever a reactor's readiness burst enqueued as one
@@ -1128,8 +862,8 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
                 let inline = self.submit_won(&mut seg, stream, client_id, seq, value_bytes);
                 drop(seg);
                 if let Some(out) = inline {
-                    // Blocking watchers (`wait_mark_beyond`, `flush`)
-                    // may be waiting on the mark this commit moved.
+                    // Blocking watchers (`wait_mark_beyond`) may be
+                    // waiting on the mark this commit moved.
                     self.notify_done();
                     return out;
                 }
@@ -1155,7 +889,10 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
         // plus two context switches per record, which costs more than
         // the group commit itself. Missed wakes are safe: the committer
         // only sleeps unbounded on an empty queue, and its accumulation
-        // waits are timeout-bounded.
+        // waits are timeout-bounded. The empty→1 wake is the handoff
+        // every queued record rides on: the committer's predicate loop
+        // re-checks the queue under the state lock, so it cannot be
+        // lost.
         let threshold = match self.fsync {
             FsyncPolicy::Group { max_batch, .. } => max_batch,
             _ => 1,
@@ -1166,13 +903,64 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
         Ok(ticket)
     }
 
+    /// `never`-policy inline submit holding the segment lock: with an
+    /// empty queue and a record that fits below the rotation threshold,
+    /// the record is a complete group of one, framed straight into the
+    /// segment with no fsync. Returns `None` — having issued no ticket
+    /// — whenever the record must take the queue instead: a refusable
+    /// record (the queue path reports the refusal), a crashed or
+    /// stopping log, a non-empty queue (committing ours first would
+    /// break the dense watermark), or a record that would make the
+    /// segment rotate (sealing and creating segments stay on the
+    /// committer thread, so the GC boundary `active` never moves here).
+    // lint:holds(segment)
+    fn submit_won(
+        &self,
+        seg: &mut Option<G>,
+        stream: &str,
+        client_id: u64,
+        seq: u64,
+        value_bytes: &[u8],
+    ) -> Option<Result<u64, WalError>> {
+        let payload_len = checked_payload_len(stream, value_bytes).ok()?;
+        let segment = seg.as_mut()?;
+        if !segment.fits_inline(RECORD_OVERHEAD + payload_len) {
+            return None;
+        }
+        let mut s = self.lock();
+        if s.crashed.is_some() || s.stopping || !s.queue.is_empty() {
+            return None;
+        }
+        s.submitted += 1;
+        let ticket = s.submitted;
+        drop(s);
+        if let Err(e) = segment.commit_one(stream, client_id, seq, value_bytes) {
+            let detail = e.to_string();
+            self.poison(detail.clone());
+            return Some(Err(WalError::Crashed(detail)));
+        }
+        // The segment lock is still held, so no other commit can have
+        // moved the watermark: `ticket` is exactly the next one.
+        let mut s = self.lock();
+        debug_assert_eq!(s.committed + 1, ticket, "empty queue means all prior tickets committed");
+        s.committed = ticket;
+        // ORDERING: Relaxed — a statistics gauge, as in commit_pending:
+        // an inline commit is a group of one.
+        self.groups.fetch_add(1, Ordering::Relaxed);
+        // ORDERING: Release — publishes the watermark to commit_mark()'s
+        // Acquire load; written only under the state lock, so it stays
+        // monotonic.
+        self.commit_mark.store(ticket, Ordering::Release);
+        Some(Ok(ticket))
+    }
+
     /// The durable-watermark mirror: every ticket `<= commit_mark()` has
     /// been written and, per policy, fsynced. Lock-free; written only
     /// under the state lock, so it is monotonic and never ahead of the
     /// real watermark.
     pub fn commit_mark(&self) -> u64 {
         // ORDERING: Acquire — pairs with the Release publishes in
-        // commit_locked / append_won; a mark covering a ticket means
+        // commit_pending / submit_won; a mark covering a ticket means
         // that group's write (and policy fsync) happened-before this
         // load.
         self.commit_mark.load(Ordering::Acquire)
@@ -1180,9 +968,10 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
 
     /// Parks (counted, on `done`) until the committed watermark moves
     /// past `seen`, the log crashes or stops, or `cancel` is raised;
-    /// returns the watermark at wakeup. A blocking way to await a
-    /// [`submit`](Self::submit) ticket for callers that own a thread to
-    /// spare; the epoll reactor never calls it (it is woken through the
+    /// returns the watermark at wakeup. A blocking way to watch the
+    /// mark move for callers that own a thread to spare (a ticket's
+    /// verdict comes from [`wait_committed`](Self::wait_committed));
+    /// the epoll reactor never calls it (it is woken through the
     /// [`CommitWaker`] instead). `cancel` is re-checked on entry and
     /// after every wakeup (a new mark, a crash or a stop); raising it
     /// wakes nobody by itself.
@@ -1250,38 +1039,17 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
         f(seg.as_ref(), s.submitted, s.committed)
     }
 
-    /// Drains and commits whatever is queued right now. Takes the
-    /// segment lock first — the queue is only drained while it is held,
-    /// so groups reach the file in enqueue order no matter which thread
-    /// commits — then writes the group, publishes the new commit
-    /// watermark, and rotates when the segment is full. Safe to call
-    /// with an empty queue (a no-op), from the committer thread and
-    /// from inline appenders concurrently: the loser of the segment
-    /// lock finds its records already drained and committed by the
-    /// winner.
-    fn commit_pending(&self) {
+    /// Drains and commits whatever is queued right now — the committer's
+    /// only write path. Takes the segment lock first (the queue is only
+    /// drained while it is held, so an inline `never` commit can never
+    /// slip between a drained group and its write), then writes the
+    /// group, publishes the new commit watermark, rotates when the
+    /// segment is full, and calls the [`CommitWaker`] so every group
+    /// (or the crash) reaches a parked reactor. `done` is notified after
+    /// the segment lock drops. Safe to call with an empty queue (a
+    /// no-op). Returns false once the log is poisoned.
+    fn commit_pending(&self) -> bool {
         let mut seg = S::lock(&self.segment);
-        self.commit_locked(&mut seg);
-        drop(seg);
-        self.notify_done();
-    }
-
-    /// [`commit_pending`](Self::commit_pending) body, for callers that
-    /// already hold (or `try_lock`ed) the segment lock. Does NOT notify
-    /// `done` — the caller must, *after* releasing the segment lock, so
-    /// that a woken appender whose record missed this group finds the
-    /// lock winnable instead of re-sleeping against a holder that is
-    /// about to exit (which would strand the record: nobody else may
-    /// ever commit or notify again).
-    ///
-    /// It does call the [`CommitWaker`] after publishing the new mark
-    /// (or the crash), so every group reaches a parked reactor.
-    ///
-    /// Returns false once the log is poisoned — the spinning fast path
-    /// must stop retrying then, or a crash would livelock it (the mark
-    /// can never cover its ticket).
-    // lint:holds(segment)
-    fn commit_locked(&self, seg: &mut Option<G>) -> bool {
         let Some(segment) = seg.as_mut() else {
             return true; // sealed on close; stopping already refuses appends
         };
@@ -1299,8 +1067,7 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
         // fresh group-sized Vec crosses glibc's mmap threshold, so every
         // commit would pay an mmap/munmap plus one page fault per
         // written page — on a small box that costs more than the
-        // group's actual write. Inline appenders that win a contended
-        // commit get their own (rarely-grown) scratch.
+        // group's actual write.
         thread_local! {
             static GROUP_SCRATCH: std::cell::RefCell<Vec<u8>> =
                 const { std::cell::RefCell::new(Vec::new()) };
@@ -1330,8 +1097,8 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
                 // ever divide by it.
                 self.groups.fetch_add(1, Ordering::Relaxed);
                 // ORDERING: Release — publishes the durable watermark
-                // to the appender fast path's Acquire load; written
-                // only under the state lock, so it stays monotonic.
+                // to commit_mark()'s Acquire load; written only under
+                // the state lock, so it stays monotonic.
                 self.commit_mark.store(s.committed, Ordering::Release);
                 true
             }
@@ -1346,16 +1113,18 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
         // Replies parked on submit tickets wait for exactly this: a new
         // mark, or the crash that means it will never come.
         self.wake_committed();
+        drop(seg);
+        self.notify_done();
         alive
     }
 
     /// The committer loop: wait for work, accumulate a group per
-    /// policy, commit it, and on stop drain everything and seal. Under
-    /// the inline policies (`always`/`never`) appenders commit on their
-    /// own threads and this loop mostly sleeps, waking for close, a
-    /// `flush` kick, or a contended appender handing over its record;
-    /// it still owns sealing either way. [`Wal::open`] runs this on a
-    /// dedicated thread; model scenarios run it as a model thread.
+    /// policy, commit it, and on stop drain everything and seal. Every
+    /// queued record — all of `always` and `group`, and the `never`
+    /// records that could not commit inline — is committed here, so
+    /// this thread performs every fsync, seal and rotation. [`Wal::open`]
+    /// runs this on a dedicated thread; model scenarios run it as a
+    /// model thread.
     pub fn run_committer(&self) {
         loop {
             let mut s = self.lock();
@@ -1414,18 +1183,12 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
                 return;
             }
             drop(s);
-            self.commit_pending();
-            if self.lock().crashed.is_some() {
+            if !self.commit_pending() {
                 return;
             }
         }
     }
 }
-
-/// The production spin budget of the contended inline path: cheap
-/// enough to usually outlast an in-flight small group, far below a
-/// syscall's worth of wasted work when it doesn't.
-const PROD_SPIN_BUDGET: u32 = 200;
 
 /// The segmented group-commit write-ahead log. See the module docs.
 ///
@@ -1456,7 +1219,6 @@ impl Wal {
             config.fsync,
             segment,
             next_index,
-            PROD_SPIN_BUDGET,
         ));
         let committer = {
             let shared = std::sync::Arc::clone(&shared);
@@ -1469,8 +1231,9 @@ impl Wal {
     }
 
     /// Appends one tracked batch and blocks until its group commits
-    /// (written and, per policy, fsynced). `Ok(())` is the license to
-    /// ACK; any `Err` means the batch must be refused.
+    /// (written and, per policy, fsynced): [`submit`](Wal::submit) plus
+    /// [`wait_committed`](Wal::wait_committed). `Ok(())` is the license
+    /// to ACK; any `Err` means the batch must be refused.
     pub fn append(
         &self,
         stream: &str,
@@ -1485,8 +1248,8 @@ impl Wal {
     /// ticket; the ACK is licensed once [`commit_mark`](Wal::commit_mark)
     /// reaches the ticket. Under `never` an uncontended submit commits
     /// inline and the mark already covers the ticket on return. See
-    /// [`Shared::submit`] — this is the epoll reactor's append path,
-    /// where a connection (not a thread) parks on the ticket.
+    /// [`Shared::submit`] — every tracked Add takes this path; the
+    /// epoll reactor parks the connection (not a thread) on the ticket.
     pub fn submit(
         &self,
         stream: &str,
@@ -1518,10 +1281,11 @@ impl Wal {
         self.shared.wait_mark_beyond(seen, cancel)
     }
 
-    /// Blocks until everything submitted so far has committed (or the
-    /// log crashed). Does not seal or stop anything.
-    pub fn flush(&self) -> Result<(), WalError> {
-        self.shared.flush()
+    /// Blocks until the durable watermark covers `ticket` (a
+    /// [`submit`](Wal::submit) ticket) or the log crashes; `Ok(())` is
+    /// the license to ACK that record. See [`Shared::wait_committed`].
+    pub fn wait_committed(&self, ticket: u64) -> Result<(), WalError> {
+        self.shared.wait_committed(ticket)
     }
 
     /// Poisons the log as a crash would: the committer stops, every
@@ -1717,9 +1481,9 @@ impl ActiveSegment {
         Ok(())
     }
 
-    /// Commits a single record with no group buffer: the record is
-    /// framed directly into the mapping — the inline fast path's
-    /// commit, for an appender that won the segment lock over an empty
+    /// Commits a single record with no group buffer and no fsync: the
+    /// record is framed directly into the mapping — the inline commit
+    /// of a `never` submit that won the segment lock over an empty
     /// queue. Fault-injection builds route through
     /// [`ActiveSegment::commit_group`] instead, because the seams tear
     /// and corrupt the *framed* bytes, which the zero-copy path never
@@ -1730,7 +1494,6 @@ impl ActiveSegment {
         client_id: u64,
         seq: u64,
         value_bytes: &[u8],
-        fsync: bool,
     ) -> Result<(), WalError> {
         let payload_len = checked_payload_len(stream, value_bytes)?;
         let framed = RECORD_OVERHEAD + payload_len;
@@ -1739,7 +1502,7 @@ impl ActiveSegment {
             // Route through the seam-bearing group path so the chaos
             // suite's torn/corrupt injections cover inline commits too.
             let mut buf = encode_record(stream, client_id, seq, value_bytes)?;
-            return self.commit_group(&mut buf, 1, fsync);
+            return self.commit_group(&mut buf, 1, false);
         }
         {
             let start = self.bytes as usize;
@@ -1764,9 +1527,6 @@ impl ActiveSegment {
             }
             self.bytes += framed as u64;
             self.records += 1;
-            if fsync {
-                self.file.sync_data()?;
-            }
             Ok(())
         }
     }
@@ -1865,9 +1625,8 @@ impl SegmentSink for ActiveSegment {
         client_id: u64,
         seq: u64,
         value_bytes: &[u8],
-        fsync: bool,
     ) -> Result<(), WalError> {
-        ActiveSegment::commit_one(self, stream, client_id, seq, value_bytes, fsync)
+        ActiveSegment::commit_one(self, stream, client_id, seq, value_bytes)
     }
 
     fn fits_inline(&self, framed: usize) -> bool {
@@ -1900,14 +1659,14 @@ impl SegmentSink for ActiveSegment {
     }
 }
 
-/// Resolves an append wait: the loops above only exit once `committed`
-/// covers the ticket or the log is poisoned, so anything else here is a
-/// logic bug surfaced as a crash verdict.
+/// Resolves a ticket wait: [`Shared::wait_committed`]'s loop only exits
+/// once `committed` covers the ticket or the log is poisoned, so
+/// anything else here is a logic bug surfaced as a crash verdict.
 fn verdict<S: SyncShimLike>(s: S::Guard<'_, CommitQueue>, ticket: u64) -> Result<(), WalError> {
     if s.committed >= ticket {
         Ok(())
     } else {
-        // lint:allow(service-unwrap) -- the wait loops guarantee crashed is Some here.
+        // lint:allow(service-unwrap) -- the wait loop guarantees crashed is Some here.
         Err(WalError::Crashed(s.crashed.clone().unwrap_or_default()))
     }
 }
@@ -2113,10 +1872,11 @@ mod tests {
     }
 
     #[test]
-    fn inline_appends_count_as_groups_of_one() {
-        // One appender under `always`/`never` always wins the segment
-        // lock over an empty queue: every record is its own group (and,
-        // under `always`, its own fsync).
+    fn single_appender_records_count_as_groups_of_one() {
+        // One blocking appender never has company in the queue: under
+        // `never` each record commits inline, under `always` the
+        // committer finds it alone — every record is its own group
+        // (and, under `always`, its own fsync).
         const N: u64 = 40;
         for fsync in [FsyncPolicy::Always, FsyncPolicy::Never] {
             let dir = temp_dir(&format!("groups-{fsync}"));
@@ -2149,19 +1909,39 @@ mod tests {
 
     #[test]
     fn group_and_always_submits_never_commit_inline() {
-        for fsync in [FsyncPolicy::Always, FsyncPolicy::default()] {
+        // (policy, blocking append?) — a blocking `append` is a submit
+        // plus a wait, so it must queue exactly like a bare submit.
+        for (fsync, blocking) in [
+            (FsyncPolicy::Always, false),
+            (FsyncPolicy::default(), false),
+            (FsyncPolicy::Always, true),
+        ] {
             // No committer yet, so a queued record stays visibly queued.
-            let shared = Shared::<StdSyncShim, MemSink>::new(fsync, MemSink::default(), 0, 0);
-            let ticket = shared.submit("s", 1, 1, &le_bytes(&[1.0])).unwrap();
-            assert!(shared.commit_mark() < ticket, "{fsync} committed inline");
-            assert_eq!(shared.queue_snapshot(), (1, 0));
-            shared.probe(|sink, _, _| assert_eq!(sink.unwrap().records, 0));
+            let shared = Shared::<StdSyncShim, MemSink>::new(fsync, MemSink::default(), 0);
             std::thread::scope(|scope| {
+                let appender = blocking.then(|| {
+                    let appender =
+                        scope.spawn(|| shared.append("s", 1, 1, &le_bytes(&[1.0])).unwrap());
+                    while shared.queue_snapshot().0 == 0 {
+                        std::thread::yield_now();
+                    }
+                    // Time for an inline commit to land, if one were
+                    // going to.
+                    std::thread::sleep(Duration::from_millis(50));
+                    appender
+                });
+                if !blocking {
+                    shared.submit("s", 1, 1, &le_bytes(&[1.0])).unwrap();
+                }
+                assert!(shared.commit_mark() < 1, "{fsync} committed inline");
+                assert_eq!(shared.queue_snapshot(), (1, 0));
+                shared.probe(|sink, _, _| assert_eq!(sink.unwrap().records, 0));
+                assert!(appender.as_ref().is_none_or(|a| !a.is_finished()), "append returned");
                 scope.spawn(|| shared.run_committer());
-                shared.wait_committed(ticket);
+                shared.wait_committed(1).unwrap();
                 shared.request_stop();
             });
-            assert_eq!(shared.commit_mark(), ticket);
+            assert_eq!(shared.commit_mark(), 1);
         }
     }
 
@@ -2173,7 +1953,7 @@ mod tests {
         let dir = temp_dir("submit-rotate");
         fs::create_dir_all(&dir).unwrap();
         let segment = ActiveSegment::create(&dir, 0, 256).unwrap();
-        let shared = Shared::<StdSyncShim, ActiveSegment>::new(FsyncPolicy::Never, segment, 0, 0);
+        let shared = Shared::<StdSyncShim, ActiveSegment>::new(FsyncPolicy::Never, segment, 0);
         let batch = le_bytes(&[0.5; 8]);
         for seq in 1..=2u64 {
             let ticket = shared.submit("s", 1, seq, &batch).unwrap();
@@ -2185,7 +1965,7 @@ mod tests {
         assert_eq!(shared.active_index(), 0);
         std::thread::scope(|scope| {
             scope.spawn(|| shared.run_committer());
-            shared.wait_committed(ticket);
+            shared.wait_committed(ticket).unwrap();
             // The committer sealed the full segment before publishing.
             assert_eq!(shared.active_index(), 1);
             shared.request_stop();
@@ -2202,7 +1982,7 @@ mod tests {
     #[test]
     fn the_commit_waker_sees_every_published_mark_and_the_crash() {
         let shared =
-            Shared::<StdSyncShim, MemSink>::new(FsyncPolicy::Always, MemSink::default(), 0, 0);
+            Shared::<StdSyncShim, MemSink>::new(FsyncPolicy::Always, MemSink::default(), 0);
         let seen = std::sync::Arc::new(Mutex::new(Vec::new()));
         let log = std::sync::Arc::clone(&seen);
         assert!(shared.set_commit_waker(Box::new(move |mark| log.lock().unwrap().push(mark))));
@@ -2212,7 +1992,7 @@ mod tests {
         }
         std::thread::scope(|scope| {
             scope.spawn(|| shared.run_committer());
-            shared.wait_committed(3);
+            shared.wait_committed(3).unwrap();
             shared.poison("drill".to_owned());
         });
         let seen = seen.lock().unwrap();

@@ -441,6 +441,50 @@ mod storms {
         server.join().unwrap();
     }
 
+    /// The after-commit crash seam sits where a committed ticket
+    /// becomes an ACK, on both transports and under every policy: one
+    /// client sends 10 tracked Adds with the seam armed on the 5th, so
+    /// the 5th batch is durable but refused, and recovery finds exactly
+    /// one record more than were ACKed.
+    #[test]
+    fn crash_after_commit_leaves_exactly_the_crashed_batch_unacked() {
+        let _g = guard();
+        for transport in [Transport::Epoll, Transport::Threads] {
+            let policies = [FsyncPolicy::Always, FsyncPolicy::default(), FsyncPolicy::Never];
+            for (p, fsync) in policies.into_iter().enumerate() {
+                registry().reset(0);
+                registry().arm(
+                    "server.crash.after_commit",
+                    FireRule::Nth(5),
+                    FaultAction::Disconnect,
+                );
+                let dir = temp_dir(&format!("after-commit-{transport:?}-{p}"));
+                let server = serve(ServerConfig {
+                    transport,
+                    wal: Some(WalConfig { fsync, ..WalConfig::new(&dir) }),
+                    ..ServerConfig::default()
+                })
+                .unwrap();
+                let mut client = super::storm_client(server.addr(), 1);
+                let mut acked = 0u64;
+                for i in 0..10 {
+                    if client.add_binary("c", &[i as f64]).is_err() {
+                        break;
+                    }
+                    acked += 1;
+                }
+                drop(client);
+                server.shutdown();
+                // The poisoned WAL surfaces as a join error.
+                let _ = server.join();
+                let replayed = recovery::recover(&dir, &ShardedLedger::new(2)).unwrap();
+                assert_eq!(acked, 4, "{transport:?} {fsync}");
+                assert_eq!(replayed.records, acked + 1, "{transport:?} {fsync}");
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+        }
+    }
+
     /// The crash drill at connection scale: a WAL-backed reactor holding
     /// ~1k open connections is killed mid-load (crash seam after the
     /// group commit), then a fresh server recovers from the segments and
@@ -475,9 +519,10 @@ mod storms {
         let chunks: Vec<Vec<f64>> =
             (0..WRITERS).map(|c| dataset(BATCHES * BATCH, 0xA5 ^ (c + 1) << 8)).collect();
 
-        // Kill the server partway through the load: the seam fires after
-        // a group commit, so the crashed batch is durable but its ACK
-        // (and everything after) is lost.
+        // Kill the server partway through the load: the seam fires where
+        // a committed ticket would become an ACK, so the crashed batch
+        // is durable but refused, and every later submit is refused.
+        // Replies the mark already covered may still leave as ACKs.
         registry().arm("server.crash.after_commit", FireRule::Nth(40), FaultAction::Disconnect);
 
         let push = |addr: SocketAddr, chunks: &[Vec<f64>]| {
